@@ -106,29 +106,37 @@ void BM_RandomizedFirstFit(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomizedFirstFit)->Arg(1000)->Arg(12000);
 
+// Scoring placer over the availability index on a near-full headroom cell
+// (the high-fidelity regime). Args: machines, tasks per job. Every machine
+// keeps room for about one task, so each task of a job must walk past the
+// machines its predecessors filled: the cost per task shows whether a job's
+// walk is linear or quadratic in its task count.
 void BM_ScoringPlacer(benchmark::State& state) {
-  CellState cell(static_cast<uint32_t>(state.range(0)), kMachine);
+  const auto machines = static_cast<uint32_t>(state.range(0));
+  const auto tasks = static_cast<uint32_t>(state.range(1));
+  CellState cell(machines, kMachine, FullnessPolicy::kHeadroom, 0.04);
   cell.EnableAvailabilityIndex();
   Rng fill(BenchSeed(7));
-  for (uint32_t i = 0; i < cell.NumMachines() / 2; ++i) {
-    const auto m = static_cast<MachineId>(fill.NextBounded(cell.NumMachines()));
-    if (cell.CanFit(m, Resources{2.0, 8.0})) {
-      cell.Allocate(m, Resources{2.0, 8.0});
-    }
+  for (MachineId m = 0; m < machines; ++m) {
+    // Usable CPU is 96% of kMachine's; leave 1.0-1.9 tasks' worth of it free
+    // (memory stays loose, so CPU is the binding dimension of the walk).
+    const double free_tasks = 1.0 + 0.9 * fill.NextDouble();
+    cell.Allocate(m, Resources{kMachine.cpus * 0.96 - kTask.cpus * free_tasks,
+                               kMachine.mem_gb / 2});
   }
   Job job;
-  job.num_tasks = 10;
+  job.num_tasks = tasks;
   job.task_resources = kTask;
   ScoringPlacer placer;
   Rng rng(BenchSeed(3));
   std::vector<TaskClaim> claims;
   for (auto _ : state) {
     claims.clear();
-    benchmark::DoNotOptimize(placer.PlaceTasks(cell, job, 10, rng, &claims));
+    benchmark::DoNotOptimize(placer.PlaceTasks(cell, job, tasks, rng, &claims));
   }
-  state.SetItemsProcessed(state.iterations() * 10);
+  state.SetItemsProcessed(state.iterations() * tasks);
 }
-BENCHMARK(BM_ScoringPlacer)->Arg(1000)->Arg(12000);
+BENCHMARK(BM_ScoringPlacer)->ArgsProduct({{1000, 12000}, {10, 100, 1000}});
 
 void BM_EventQueuePushPop(benchmark::State& state) {
   EventQueue q;

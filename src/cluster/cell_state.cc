@@ -300,7 +300,7 @@ void CellState::AllocateBatch(MachineId id, const Resources& per_task,
   }
   if (HasAvailabilityIndex()) {
     // Bucket transitions are order-sensitive (swap-remove permutes bucket
-    // lists, and VisitByAvailability exposes that order), so replay the exact
+    // lists, and WalkByAvailability exposes that order), so replay the exact
     // per-task sequence instead of batching.
     for (uint32_t i = 0; i < count; ++i) {
       Allocate(id, per_task);
@@ -419,28 +419,21 @@ void CellState::IndexUpdate(MachineId id, size_t old_bucket) {
   IndexInsert(id);
 }
 
-void CellState::VisitByAvailability(
-    const Resources& min_request,
-    const std::function<bool(MachineId)>& visitor) const {
+CellState::AvailabilityCursor CellState::WalkByAvailability(
+    const Resources& min_request) const {
   OMEGA_CHECK(HasAvailabilityIndex());
   // Under the headroom policy a machine must keep headroom_fraction of its
-  // capacity free *beyond* the request, so buckets below that offset can
-  // never fit — skip them (best-fit packing piles machines up exactly there).
+  // capacity free *beyond* the request, so the walk starts that much higher
+  // (best-fit packing piles machines up exactly there).
   const double max_cpus =
       static_cast<double>(buckets_.size() - 1) / bucket_scale_;
   const double headroom_key =
       fullness_ == FullnessPolicy::kHeadroom ? headroom_fraction_ * max_cpus : 0.0;
   const double min_key = EffectiveKey(min_request) + headroom_key;
-  auto start = static_cast<size_t>(
+  const auto start = static_cast<size_t>(
       std::clamp<int64_t>(static_cast<int64_t>(min_key * bucket_scale_), 0,
                           static_cast<int64_t>(buckets_.size()) - 1));
-  for (size_t b = start; b < buckets_.size(); ++b) {
-    for (const MachineId id : buckets_[b]) {
-      if (!visitor(id)) {
-        return;
-      }
-    }
-  }
+  return AvailabilityCursor(&buckets_, start);
 }
 
 std::vector<TaskClaim> ReconstructAcceptedClaims(

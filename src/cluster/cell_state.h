@@ -116,7 +116,7 @@ class CellState {
   // (sound: allocation grows monotonically across the batch), and the block
   // summary is maintained once per batch instead of per task. With the
   // availability index enabled, bucket-list order is observable through
-  // VisitByAvailability, so both fall back to the per-task sequence — state
+  // WalkByAvailability, so both fall back to the per-task sequence — state
   // stays bit-identical there too, just without the batching win. See
   // DESIGN.md §10.
   void AllocateBatch(MachineId id, const Resources& per_task, uint32_t count);
@@ -310,15 +310,45 @@ class CellState {
   bool HasAvailabilityIndex() const { return !buckets_.empty(); }
 
   // Effective availability key of a request: the CPU-unit requirement in the
-  // binding dimension. Machines in buckets below EffectiveKey(request) cannot
-  // fit the request in at least one dimension.
+  // binding dimension, max(cpus, mem_gb / mem-per-cpu). It sets where the
+  // walk starts and is not a feasibility bound: a machine's bucket keys on
+  // the *smaller* of its two raw availabilities, the start key on the
+  // *larger* requirement (plus, under kHeadroom, an offset scaled to the
+  // largest machine), so a machine in a bucket below the start can still fit
+  // the request — the walk just never visits it (DESIGN.md §7 gives a
+  // counter-example).
   double EffectiveKey(const Resources& r) const;
 
-  // Visits machines in order of increasing effective availability (tightest
-  // feasible bucket first), starting from the lowest bucket that can contain
-  // a machine able to fit `min_request`. The visitor returns false to stop.
-  void VisitByAvailability(const Resources& min_request,
-                           const std::function<bool(MachineId)>& visitor) const;
+  // Forward cursor over machines in order of increasing effective
+  // availability (tightest bucket first), starting from the lowest bucket the
+  // walk considers for `min_request`. It reads the bucket lists in place, so
+  // it is valid only while the cell is not mutated.
+  class AvailabilityCursor {
+   public:
+    // Next machine in availability order, or kInvalidMachineId at the end.
+    MachineId Next() {
+      while (bucket_ < buckets_->size()) {
+        const std::vector<MachineId>& list = (*buckets_)[bucket_];
+        if (pos_ < list.size()) {
+          return list[pos_++];
+        }
+        ++bucket_;
+        pos_ = 0;
+      }
+      return kInvalidMachineId;
+    }
+
+   private:
+    friend class CellState;
+    AvailabilityCursor(const std::vector<std::vector<MachineId>>* buckets,
+                       size_t start_bucket)
+        : buckets_(buckets), bucket_(start_bucket) {}
+
+    const std::vector<std::vector<MachineId>>* buckets_;
+    size_t bucket_;
+    size_t pos_ = 0;
+  };
+  AvailabilityCursor WalkByAvailability(const Resources& min_request) const;
 
  private:
   size_t BucketFor(MachineId id) const;

@@ -1,6 +1,9 @@
 #include "src/hifi/scoring_placer.h"
 
 #include <algorithm>
+#include <optional>
+
+#include "src/common/logging.h"
 
 namespace omega {
 
@@ -19,6 +22,20 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
   domains_used.Reset();
   WorkerPool* pool = cell.intra_trial_pool();
   uint32_t placed = 0;
+
+  // Availability-index walk shared by all tasks of this call: positions are
+  // materialised into walk_ as the walk first reaches them, and walk_head
+  // plus the next links skip positions found infeasible.
+  std::optional<CellState::AvailabilityCursor> walk;
+  uint32_t walk_head = 0;
+  if (cell.HasAvailabilityIndex()) {
+    // Infeasibility is monotone across the call only for non-negative
+    // requests (the trace reader rejects anything else).
+    OMEGA_CHECK(job.task_resources.cpus >= 0.0 &&
+                job.task_resources.mem_gb >= 0.0);
+    walk.emplace(cell.WalkByAvailability(job.task_resources));
+    walk_.clear();
+  }
 
   for (uint32_t t = 0; t < count; ++t) {
     MachineId best = kInvalidMachineId;
@@ -66,29 +83,48 @@ uint32_t ScoringPlacer::PlaceTasks(const CellState& cell, const Job& job,
       return true;
     };
 
-    if (cell.HasAvailabilityIndex()) {
+    if (walk) {
       // Global best-fit via the availability index: visit machines from the
       // tightest feasible bucket upward; the first feasible candidates are the
       // globally best-packing choices, which is exactly why careful placement
       // algorithms concentrate onto the same machines and conflict (§5).
       // Bucket order is meaningful, so this path stays sequential.
+      //
+      // One walk serves every task of the call (DESIGN.md §7). The cell is
+      // const, the constraints are fixed and pending claims only grow, so a
+      // machine that fails consider() for one task fails it for every later
+      // task: it is unlinked from the live list and never tested again. A
+      // skipped position still counts as visited (visited == position + 1),
+      // so each stop rule below decides exactly as a walk that re-tests it.
       uint32_t feasible = 0;
-      uint32_t visited = 0;
       const uint32_t max_feasible = std::max(1u, options_.candidate_sample / 8);
       const uint32_t max_visited = options_.candidate_sample * 4;
-      cell.VisitByAvailability(job.task_resources, [&](MachineId m) {
-        ++visited;
-        if (consider(m)) {
-          ++feasible;
-        }
-        if (feasible >= max_feasible) {
-          return false;  // enough tight candidates scored
-        }
+      uint32_t prev = kWalkHead;  // last live position of this task's walk
+      for (uint32_t p = walk_head;; p = walk_[p].next) {
         // Past the visit budget, keep walking only until something feasible
         // turns up (memory-bound or constrained tasks may need to reach
         // looser buckets); a full walk happens only when nothing fits at all.
-        return feasible == 0 || visited < max_visited;
-      });
+        if (feasible > 0 && p >= max_visited) {
+          break;
+        }
+        if (p == walk_.size()) {
+          const MachineId m = walk->Next();
+          if (m == kInvalidMachineId) {
+            break;
+          }
+          walk_.push_back(WalkSlot{m, p + 1});
+        }
+        if (consider(walk_[p].machine)) {
+          if (++feasible >= max_feasible) {
+            break;  // enough tight candidates scored
+          }
+          prev = p;
+        } else if (prev == kWalkHead) {
+          walk_head = walk_[p].next;  // unlink the dead position
+        } else {
+          walk_[prev].next = walk_[p].next;
+        }
+      }
     } else {
       const uint32_t samples = std::min(options_.candidate_sample, num_machines);
       if (pool != nullptr) {

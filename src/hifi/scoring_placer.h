@@ -45,6 +45,15 @@ class ScoringPlacer final : public TaskPlacer {
   // intra-trial worker pool (DESIGN.md §12).
   DeterministicReducer reducer_;
   std::vector<MachineId> sample_scratch_;
+  // Availability-index walk of the current call, in walk order: each
+  // position's machine and the next position still worth visiting (dead
+  // positions are unlinked). At most one slot per machine.
+  struct WalkSlot {
+    MachineId machine;
+    uint32_t next;
+  };
+  static constexpr uint32_t kWalkHead = ~0u;
+  std::vector<WalkSlot> walk_;
 };
 
 }  // namespace omega

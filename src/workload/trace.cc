@@ -1,8 +1,10 @@
 #include "src/workload/trace.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -15,6 +17,30 @@ std::string FormatError(int line_no, const std::string& message) {
   std::ostringstream os;
   os << "trace parse error at line " << line_no << ": " << message;
   return os.str();
+}
+
+// Describes the first field of a parsed job record the simulator cannot
+// honour, or returns nullptr when the record is valid. Replaying such a
+// record would abort the process (an event scheduled into the past) or drive
+// a machine's allocation negative, so it is rejected at the boundary.
+const char* InvalidJobField(int64_t submit_us, int64_t num_tasks,
+                            int64_t duration_us, const Resources& r) {
+  if (submit_us < 0) {
+    return "negative submit time";
+  }
+  if (num_tasks < 1 || num_tasks > std::numeric_limits<uint32_t>::max()) {
+    return "num_tasks must be at least 1 (and fit in 32 bits)";
+  }
+  if (duration_us < 0) {
+    return "negative task duration";
+  }
+  if (!std::isfinite(r.cpus) || r.cpus < 0.0) {
+    return "cpus must be finite and non-negative";
+  }
+  if (!std::isfinite(r.mem_gb) || r.mem_gb < 0.0) {
+    return "mem_gb must be finite and non-negative";
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -80,8 +106,9 @@ bool ReadTrace(std::istream& is, std::vector<Job>* jobs, std::string* error) {
       Job j;
       std::string type;
       int64_t submit_us = 0;
+      int64_t num_tasks = 0;
       int64_t duration_us = 0;
-      ls >> j.id >> type >> submit_us >> j.num_tasks >> duration_us >>
+      ls >> j.id >> type >> submit_us >> num_tasks >> duration_us >>
           j.task_resources.cpus >> j.task_resources.mem_gb;
       if (!ls) {
         if (error != nullptr) {
@@ -89,6 +116,14 @@ bool ReadTrace(std::istream& is, std::vector<Job>* jobs, std::string* error) {
         }
         return false;
       }
+      if (const char* invalid = InvalidJobField(
+              submit_us, num_tasks, duration_us, j.task_resources)) {
+        if (error != nullptr) {
+          *error = FormatError(line_no, invalid);
+        }
+        return false;
+      }
+      j.num_tasks = static_cast<uint32_t>(num_tasks);
       if (type == "batch") {
         j.type = JobType::kBatch;
       } else if (type == "service") {

@@ -27,8 +27,10 @@ void WriteTrace(const std::vector<Job>& jobs, std::ostream& os);
 // Convenience: writes to a file path. Returns false on I/O failure.
 bool WriteTraceFile(const std::vector<Job>& jobs, const std::string& path);
 
-// Parses a trace. On malformed input, returns false and leaves `jobs`
-// unspecified; `error` (if non-null) receives a description.
+// Parses a trace. On malformed input — including job records with a negative
+// submit time or duration, zero tasks, or negative or non-finite resources —
+// returns false and leaves `jobs` unspecified; `error` (if non-null) receives
+// a description with the line number.
 bool ReadTrace(std::istream& is, std::vector<Job>* jobs, std::string* error);
 
 // Convenience: reads from a file path.

@@ -282,7 +282,8 @@ TEST_P(AvailabilityIndexPropertyTest, IndexMatchesBruteForce) {
   double last_bucket_key = -1.0;
   int bucket_tolerant_inversions = 0;
   const double mem_per_cpu = kMachine.mem_gb / kMachine.cpus;
-  cell.VisitByAvailability(Resources::Zero(), [&](MachineId id) {
+  auto walk = cell.WalkByAvailability(Resources::Zero());
+  for (MachineId id = walk.Next(); id != kInvalidMachineId; id = walk.Next()) {
     ++visits[id];
     const Resources avail = cell.machine(id).Available();
     const double key = std::min(avail.cpus, avail.mem_gb / mem_per_cpu);
@@ -290,8 +291,9 @@ TEST_P(AvailabilityIndexPropertyTest, IndexMatchesBruteForce) {
       ++bucket_tolerant_inversions;
     }
     last_bucket_key = std::max(last_bucket_key, key);
-    return true;
-  });
+  }
+  // An exhausted cursor stays exhausted.
+  EXPECT_EQ(walk.Next(), kInvalidMachineId);
   for (int v : visits) {
     EXPECT_EQ(v, 1);
   }
@@ -308,10 +310,10 @@ TEST(AvailabilityIndexTest, MinRequestSkipsTightMachines) {
   cell.Allocate(0, Resources{3.9, 1.0});  // 0.1 cpu left
   cell.Allocate(1, Resources{2.0, 1.0});  // 2 cpus left
   std::vector<MachineId> seen;
-  cell.VisitByAvailability(Resources{1.0, 0.0}, [&](MachineId id) {
+  auto walk = cell.WalkByAvailability(Resources{1.0, 0.0});
+  for (MachineId id = walk.Next(); id != kInvalidMachineId; id = walk.Next()) {
     seen.push_back(id);
-    return true;
-  });
+  }
   // Machine 0 (0.1 cpu) is below the 1-cpu threshold bucket and not visited.
   for (MachineId id : seen) {
     EXPECT_NE(id, 0u);
@@ -328,10 +330,10 @@ TEST(AvailabilityIndexTest, MemoryBoundMachinesSortTight) {
   cell.Allocate(0, Resources{0.5, 15.5});  // 3.5 cpus, 0.5 GB left
   std::vector<MachineId> seen;
   // Request needing 8 GB: machine 0's bucket (effective ~0.03 cpu) is skipped.
-  cell.VisitByAvailability(Resources{0.5, 8.0}, [&](MachineId id) {
+  auto walk = cell.WalkByAvailability(Resources{0.5, 8.0});
+  for (MachineId id = walk.Next(); id != kInvalidMachineId; id = walk.Next()) {
     seen.push_back(id);
-    return true;
-  });
+  }
   for (MachineId id : seen) {
     EXPECT_NE(id, 0u);
   }

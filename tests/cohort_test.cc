@@ -340,7 +340,7 @@ TEST(CellStateBatchTest, BatchSeqnumAdvanceEqualsCount) {
 
 TEST(CellStateBatchTest, BatchedOpsWithAvailabilityIndexMatchReference) {
   // With the index enabled, batched ops fall back to the per-task sequence so
-  // bucket-list order (observable via VisitByAvailability) stays identical.
+  // bucket-list order (observable via WalkByAvailability) stays identical.
   CellState batched(64, Resources{16.0, 64.0});
   CellState reference(64, Resources{16.0, 64.0});
   batched.EnableAvailabilityIndex();
@@ -357,17 +357,15 @@ TEST(CellStateBatchTest, BatchedOpsWithAvailabilityIndexMatchReference) {
       }
     }
   }
-  std::vector<MachineId> order_batched;
-  std::vector<MachineId> order_reference;
-  batched.VisitByAvailability(Resources{0.5, 2.0}, [&](MachineId m) {
-    order_batched.push_back(m);
-    return true;
-  });
-  reference.VisitByAvailability(Resources{0.5, 2.0}, [&](MachineId m) {
-    order_reference.push_back(m);
-    return true;
-  });
-  EXPECT_EQ(order_batched, order_reference);
+  auto walk_order = [](const CellState& cell) {
+    std::vector<MachineId> order;
+    auto walk = cell.WalkByAvailability(Resources{0.5, 2.0});
+    for (MachineId m = walk.Next(); m != kInvalidMachineId; m = walk.Next()) {
+      order.push_back(m);
+    }
+    return order;
+  };
+  EXPECT_EQ(walk_order(batched), walk_order(reference));
 }
 
 TEST(CellStateBatchTest, GroupedCommitMatchesPerClaimCommit) {

@@ -145,6 +145,53 @@ TEST(TraceTest, RejectsBadConstraintComparator) {
   EXPECT_FALSE(ReadTrace(ss, &parsed, &error));
 }
 
+// Records the simulator cannot honour are rejected with the line number
+// instead of aborting the replay or driving allocations negative.
+struct BadJobRecord {
+  const char* line;
+  const char* message;  // expected substring of the error
+};
+
+class TraceRejectsBadJobTest : public ::testing::TestWithParam<BadJobRecord> {};
+
+TEST_P(TraceRejectsBadJobTest, ReportsLineNumber) {
+  std::stringstream ss(std::string("job 1 batch 0 1 1 1 1\n") +
+                       GetParam().line + "\n");
+  std::vector<Job> parsed;
+  std::string error;
+  EXPECT_FALSE(ReadTrace(ss, &parsed, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find(GetParam().message), std::string::npos) << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Records, TraceRejectsBadJobTest,
+    ::testing::Values(
+        BadJobRecord{"job 2 batch -1 1 1 1 1", "negative submit time"},
+        BadJobRecord{"job 2 batch 0 0 1 1 1", "num_tasks"},
+        BadJobRecord{"job 2 batch 0 -3 1 1 1", "num_tasks"},
+        BadJobRecord{"job 2 batch 0 4294967296 1 1 1", "num_tasks"},
+        BadJobRecord{"job 2 batch 0 1 -5 1 1", "negative task duration"},
+        BadJobRecord{"job 2 batch 0 1 1 -0.5 1", "cpus"},
+        BadJobRecord{"job 2 service 0 1 1 1 -2", "mem_gb"},
+        // Not parseable as finite doubles: rejected as malformed.
+        BadJobRecord{"job 2 batch 0 1 1 nan 1", "malformed job record"},
+        BadJobRecord{"job 2 batch 0 1 1 1 inf", "malformed job record"},
+        BadJobRecord{"job 2 batch 0 1 1 1e999 1", "malformed job record"}));
+
+TEST(TraceTest, AcceptsBoundaryValues) {
+  // Zero submit time, duration and resources are valid; so is the largest
+  // 32-bit task count.
+  std::stringstream ss(
+      "job 1 batch 0 1 0 0 0\n"
+      "job 2 service 0 4294967295 1 1 1\n");
+  std::vector<Job> parsed;
+  std::string error;
+  ASSERT_TRUE(ReadTrace(ss, &parsed, &error)) << error;
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[1].num_tasks, 4294967295u);
+}
+
 TEST(TraceTest, MissingFileReportsError) {
   std::vector<Job> parsed;
   std::string error;
