@@ -1,16 +1,19 @@
 // Micro-benchmarks of the simulator's core operations (google-benchmark):
 // cell-state allocate/free, transaction commit under both conflict-detection
 // modes, the placement algorithms (including the randomized-first-fit vs
-// scoring-placer ablation from DESIGN.md), and the event queue.
+// scoring-placer ablation from DESIGN.md), the event queue, and a Mesos
+// allocation round.
 #include <benchmark/benchmark.h>
 
 #include "src/cluster/cell_state.h"
 #include "src/common/deterministic_reduce.h"
 #include "src/common/parallel_for.h"
 #include "src/hifi/scoring_placer.h"
+#include "src/mesos/mesos_simulation.h"
 #include "src/scheduler/placement.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
+#include "src/workload/cluster_config.h"
 
 namespace omega {
 namespace {
@@ -527,6 +530,69 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_SimulatorThroughput);
+
+// One Mesos allocation round end to end on an empty cell of range(0)
+// machines: a one-task batch job arrives and is offered, placed, committed,
+// and its offer returned, then the clock moves on 200 ms. With range(1) == 1
+// the batch round is the only outstanding offer and takes the implicit lock;
+// lazy locking makes its cost independent of the cell size (DESIGN.md §7).
+// With range(1) == 2 a service framework holds the lock throughout (its
+// decision never ends), so every batch round is the deferred offer over the
+// machines changed since.
+void BM_MesosAllocationRound(benchmark::State& state) {
+  ClusterConfig cfg = TestCluster(static_cast<uint32_t>(state.range(0)));
+  cfg.initial_utilization = 0.0;
+  SimOptions opts;
+  opts.horizon = Duration::FromDays(365);
+  opts.seed = BenchSeed(17);
+  opts.batch_rate_multiplier = 0.0;
+  opts.service_rate_multiplier = 0.0;
+  SchedulerConfig service;
+  service.name = "service";
+  service.service_times.t_job = Duration::FromDays(365);
+  MesosSimulation sim(cfg, opts, SchedulerConfig{}, service);
+  sim.PrepareRun();
+  JobId next_id = 1;
+  SimTime now = SimTime::Zero();
+  auto round = [&](JobType type, double task_secs) {
+    auto job = std::make_shared<Job>();
+    job->id = next_id++;
+    job->type = type;
+    job->submit_time = now;
+    job->num_tasks = 1;
+    job->task_resources = kTask;
+    job->task_duration = Duration::FromSeconds(task_secs);
+    job->precedence = DefaultPrecedence(type);
+    sim.InjectJob(job);
+    now = now + Duration::FromMillis(200);
+    sim.sim().RunUntil(now);
+  };
+  // Two seconds of batch rounds fill the running-task set with 2 s tasks.
+  // Once the service holds the lock, the resources those tasks free are all
+  // the batch rounds are offered, and the 1 s tasks below always find one.
+  for (int i = 0; i < 10; ++i) {
+    round(JobType::kBatch, 2.0);
+  }
+  if (state.range(1) == 2) {
+    round(JobType::kService, 2.0);
+  }
+  for (int i = 0; i < 10; ++i) {
+    round(JobType::kBatch, 1.0);
+  }
+  const int64_t before =
+      sim.batch_framework().metrics().JobsScheduled(JobType::kBatch);
+  for (auto _ : state) {
+    round(JobType::kBatch, 1.0);
+  }
+  const int64_t scheduled =
+      sim.batch_framework().metrics().JobsScheduled(JobType::kBatch) - before;
+  if (scheduled != static_cast<int64_t>(state.iterations())) {
+    state.SkipWithError("a batch job went unscheduled");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MesosAllocationRound)
+    ->ArgsProduct({{1000, 4000, 12000}, {1, 2}});
 
 }  // namespace
 }  // namespace omega

@@ -257,6 +257,9 @@ bool CellState::CanFitWithPending(MachineId id, const Resources& request,
 }
 
 void CellState::Allocate(MachineId id, const Resources& request_ref) {
+  if (mutation_hook_) {
+    mutation_hook_(id);
+  }
   // Copy first: callers may pass a reference into this very machine (e.g.
   // Free(m, cell.machine(m).allocated)), which the updates below would alias.
   const Resources request = request_ref;
@@ -276,6 +279,9 @@ void CellState::Allocate(MachineId id, const Resources& request_ref) {
 }
 
 void CellState::Free(MachineId id, const Resources& request_ref) {
+  if (mutation_hook_) {
+    mutation_hook_(id);
+  }
   const Resources request = request_ref;  // see Allocate: aliasing hazard
   Machine& m = machines_[id];
   const size_t old_bucket = HasAvailabilityIndex() ? BucketFor(id) : 0;
@@ -307,6 +313,9 @@ void CellState::AllocateBatch(MachineId id, const Resources& per_task,
     }
     return;
   }
+  if (mutation_hook_) {
+    mutation_hook_(id);
+  }
   const Resources request = per_task;  // see Allocate: aliasing hazard
   Machine& m = machines_[id];
   // Replay the per-task additions (FP addition is not associative, and the
@@ -335,6 +344,9 @@ void CellState::FreeBatch(MachineId id, const Resources& per_task,
       Free(id, per_task);
     }
     return;
+  }
+  if (mutation_hook_) {
+    mutation_hook_(id);
   }
   const Resources request = per_task;  // see Allocate: aliasing hazard
   Machine& m = machines_[id];

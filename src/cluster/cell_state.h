@@ -140,6 +140,15 @@ class CellState {
     commit_observer_ = std::move(observer);
   }
 
+  // Hook invoked with a machine id just before that machine's allocation
+  // changes (Allocate, Free and their batched forms, so every Commit too),
+  // while the machine still holds its old state. Null by default; the Mesos
+  // allocator uses it to make an implicitly locked offer slice explicit
+  // before the machine changes (DESIGN.md §7). The hook must not mutate cell
+  // state.
+  using MutationHook = std::function<void(MachineId)>;
+  void SetMutationHook(MutationHook hook) { mutation_hook_ = std::move(hook); }
+
   // When enabled (the default), Commit applies accepted claims grouped per
   // machine — one AllocateBatch per distinct machine — whenever every claim
   // in the transaction carries identical resources (the §2.1 cohort property
@@ -418,6 +427,7 @@ class CellState {
   mutable std::vector<uint8_t> super_dirty_;
 
   CommitObserver commit_observer_;
+  MutationHook mutation_hook_;
   bool batched_commit_ = true;
   // Commit scratch, reused across transactions: the per-machine grouping
   // list, the per-claim accept flags, and the pending same-transaction sums

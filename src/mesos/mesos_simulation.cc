@@ -1,6 +1,7 @@
 #include "src/mesos/mesos_simulation.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/logging.h"
 
@@ -56,19 +57,22 @@ void MesosFramework::HandleOffer(ResourceOffer offer) {
 
   // The framework only sees the offered resources — not the whole cell
   // ("restricted visibility", §3.3/§3.4). Place tasks greedily onto offer
-  // slices; the claims are guaranteed to commit because the resources are
+  // slices in machine order, pulling lazily offered ones until the job is
+  // placed; the claims are guaranteed to commit because the resources are
   // locked for this framework while the offer is outstanding.
   std::vector<TaskClaim> claims;
   claims.reserve(std::min<uint32_t>(remaining, 1024));
   uint32_t placed = 0;
-  for (OfferSlice& slice : offer.slices) {
+  for (size_t i = 0; placed < remaining; ++i) {
+    if (i == offer.slices.size() &&
+        !sim_.allocator().Pull(offer, job->task_resources)) {
+      break;
+    }
+    OfferSlice& slice = offer.slices[i];
     while (placed < remaining && job->task_resources.FitsIn(slice.resources)) {
       slice.resources -= job->task_resources;
       claims.push_back(TaskClaim{slice.machine, job->task_resources, 0});
       ++placed;
-    }
-    if (placed == remaining) {
-      break;
     }
   }
 
@@ -197,59 +201,94 @@ Resources MesosFramework::HoardedResources() const {
 // ---------------------------------------------------------------------------
 // MesosAllocator
 
+namespace {
+
+bool TestBit(const std::vector<uint64_t>& bits, MachineId m) {
+  return (bits[m / 64] >> (m % 64) & 1) != 0;
+}
+void SetBit(std::vector<uint64_t>& bits, MachineId m) {
+  bits[m / 64] |= uint64_t{1} << (m % 64);
+}
+void ClearBit(std::vector<uint64_t>& bits, MachineId m) {
+  bits[m / 64] &= ~(uint64_t{1} << (m % 64));
+}
+// First set bit at or after `from`, or an id >= the bitmap's size if none.
+MachineId NextSetBit(const std::vector<uint64_t>& bits, MachineId from) {
+  size_t w = from / 64;
+  if (w >= bits.size()) {
+    return from;
+  }
+  uint64_t word = bits[w] & (~uint64_t{0} << (from % 64));
+  while (word == 0) {
+    if (++w == bits.size()) {
+      return static_cast<MachineId>(w * 64);
+    }
+    word = bits[w];
+  }
+  return static_cast<MachineId>(w * 64 + std::countr_zero(word));
+}
+// Calls f(id) for every set bit of `word`, whose bit 0 is machine `base`,
+// in id order.
+template <typename F>
+void ForEachSetBit(uint64_t word, MachineId base, F&& f) {
+  for (; word != 0; word &= word - 1) {
+    f(base + static_cast<MachineId>(std::countr_zero(word)));
+  }
+}
+
+}  // namespace
+
 MesosAllocator::MesosAllocator(MesosSimulation& sim, Duration decision_time,
                                Duration min_round_interval)
     : sim_(sim),
       decision_time_(decision_time),
-      min_round_interval_(min_round_interval) {}
+      min_round_interval_(min_round_interval) {
+  const uint32_t n = sim_.cell().NumMachines();
+  offered_.assign(n, Resources::Zero());
+  explicit_bits_.assign((n + 63) / 64, 0);
+  dirty_bits_.assign((n + 63) / 64, 0);
+  dirty_bound_.assign((n + 63) / 64, Resources::Zero());
+  dirty_bound_valid_.assign((n + 63) / 64, 0);
+  deferred_bits_.assign((n + 63) / 64, 0);
+  stable_bits_.assign((n + 63) / 64, 0);
+  sim_.cell().SetMutationHook([this](MachineId m) { BeforeMachineChange(m); });
+}
 
 void MesosAllocator::RegisterFramework(MesosFramework* framework) {
   frameworks_.push_back(framework);
   allocated_.push_back(Resources::Zero());
-  if (offered_.empty()) {
-    offered_.assign(sim_.cell().NumMachines(), Resources::Zero());
+}
+
+size_t MesosAllocator::IndexOf(const MesosFramework* framework) const {
+  for (size_t i = 0; i < frameworks_.size(); ++i) {
+    if (frameworks_[i] == framework) {
+      return i;
+    }
   }
+  OMEGA_CHECK(false) << "unregistered framework";
+  return 0;
 }
 
 double MesosAllocator::DominantShare(const MesosFramework* framework) const {
-  for (size_t i = 0; i < frameworks_.size(); ++i) {
-    if (frameworks_[i] == framework) {
-      return allocated_[i].DominantShare(sim_.cell().TotalCapacity());
-    }
-  }
-  return 0.0;
+  return allocated_[IndexOf(framework)].DominantShare(
+      sim_.cell().TotalCapacity());
 }
 
 MesosFramework* MesosAllocator::PickFramework() {
-  const size_t n = frameworks_.size();
   const Resources capacity = sim_.cell().TotalCapacity();
-  // Reference scan restricted to [begin, end): negated dominant share as the
-  // score turns the DRF minimum into ArgBest's "strictly greater wins" shape,
-  // with ties breaking to the earliest registered framework either way. Each
-  // index reads only its own framework's queue state and allocated_ slot, so
-  // shards may evaluate concurrently.
-  auto scan = [&](size_t begin, size_t end) {
-    DeterministicReducer::Best local;
-    for (size_t i = begin; i < end; ++i) {
-      if (!frameworks_[i]->IsPending()) {
-        continue;
-      }
-      const double score = -allocated_[i].DominantShare(capacity);
-      if (local.index == kReduceNotFound || score > local.score) {
-        local.index = i;
-        local.score = score;
-      }
+  MesosFramework* best = nullptr;
+  double best_share = 0.0;
+  for (size_t i = 0; i < frameworks_.size(); ++i) {
+    if (!frameworks_[i]->IsPending()) {
+      continue;
     }
-    return local;
-  };
-  WorkerPool* pool = sim_.cell().intra_trial_pool();
-  const DeterministicReducer::Best best =
-      pool == nullptr
-          ? scan(0, n)
-          : reducer_.ArgBest(
-                pool, n, ReduceGrain(n, pool->concurrency(), /*min_grain=*/1),
-                scan);
-  return best.index == kReduceNotFound ? nullptr : frameworks_[best.index];
+    const double share = allocated_[i].DominantShare(capacity);
+    if (best == nullptr || share < best_share) {
+      best = frameworks_[i];
+      best_share = share;
+    }
+  }
+  return best;
 }
 
 void MesosAllocator::Trigger() {
@@ -273,75 +312,324 @@ void MesosAllocator::Trigger() {
   });
 }
 
+Resources MesosAllocator::Unoffered(MachineId machine) const {
+  return (sim_.cell().machine(machine).Available() - offered_[machine])
+      .ClampNonNegative();
+}
+
+bool MesosAllocator::IsExplicit(MachineId machine) const {
+  return TestBit(explicit_bits_, machine);
+}
+
+void MesosAllocator::MarkDirty(MachineId machine) {
+  dirty_bound_valid_[machine / 64] = 0;
+  if (!TestBit(dirty_bits_, machine)) {
+    SetBit(dirty_bits_, machine);
+    ++num_dirty_;
+  }
+}
+
+void MesosAllocator::ClearDirty(MachineId machine) {
+  if (TestBit(dirty_bits_, machine)) {
+    ClearBit(dirty_bits_, machine);
+    --num_dirty_;
+  }
+}
+
+void MesosAllocator::TakeSlice(MachineId machine,
+                               std::vector<OfferSlice>& slices) {
+  MaterializeDeferred(machine);
+  const Resources slice = Unoffered(machine);
+  if (slice.IsZero()) {
+    ClearDirty(machine);
+    return;
+  }
+  // The machine stays dirty: a later visit finds the rest zero and clears it.
+  offered_[machine] += slice;
+  ClearBit(stable_bits_, machine);
+  slices.push_back(OfferSlice{machine, slice});
+}
+
+void MesosAllocator::Unlock(MachineId machine, const Resources& r) {
+  Materialize(machine);
+  MaterializeDeferred(machine);
+  offered_[machine] -= r;
+  offered_[machine] = offered_[machine].ClampNonNegative();
+  ClearBit(stable_bits_, machine);
+  if (!IsExplicit(machine)) {
+    return;
+  }
+  if (!lock_held_ && offered_[machine] == Resources::Zero()) {
+    // With no lock held a zero entry is exactly what the next lock covers.
+    ClearBit(explicit_bits_, machine);
+    ClearDirty(machine);
+  } else {
+    MarkDirty(machine);
+  }
+}
+
+void MesosAllocator::Materialize(MachineId machine) {
+  if (!lock_held_ || IsExplicit(machine)) {
+    return;
+  }
+  // The machine is unchanged since the lock was taken and its offered_ entry
+  // is zero, so this takes exactly the slice the eager offer locked then.
+  SetBit(explicit_bits_, machine);
+  TakeSlice(machine, lock_slices_);
+}
+
+void MesosAllocator::MaterializeDeferred(MachineId machine) {
+  if (deferred_epoch_ == 0 || !TestBit(deferred_bits_, machine)) {
+    return;
+  }
+  // Unchanged since the deferred offer was made, so this takes exactly the
+  // slice the eager offer locked then.
+  ClearBit(deferred_bits_, machine);
+  TakeSlice(machine, deferred_slices_);
+}
+
+void MesosAllocator::BeforeMachineChange(MachineId machine) {
+  Materialize(machine);
+  MaterializeDeferred(machine);
+  ClearBit(stable_bits_, machine);
+  if (IsExplicit(machine)) {
+    MarkDirty(machine);
+  }
+}
+
+void MesosAllocator::ReleaseDeferred() {
+  deferred_epoch_ = 0;
+  for (const OfferSlice& slice : deferred_slices_) {
+    Unlock(slice.machine, slice.resources);
+  }
+  deferred_slices_.clear();
+  // The untouched slices return as the eager offer's would: each machine's
+  // entry goes through (o + s) - s, clamped. A machine whose entry survives
+  // that round trip unchanged is stable, and skips it until it next changes.
+  for (size_t w = 0; w < deferred_bits_.size(); ++w) {
+    ForEachSetBit(
+        deferred_bits_[w] & ~stable_bits_[w], static_cast<MachineId>(w * 64),
+        [&](MachineId m) {
+          const Resources slice = Unoffered(m);
+          if (slice.IsZero()) {
+            return;
+          }
+          Resources offered = offered_[m];
+          offered += slice;
+          offered -= slice;
+          offered = offered.ClampNonNegative();
+          if (offered == offered_[m]) {
+            SetBit(stable_bits_, m);
+          } else {
+            dirty_bound_valid_[m / 64] = 0;
+          }
+          offered_[m] = offered;
+          if (!lock_held_ && offered == Resources::Zero()) {
+            ClearBit(explicit_bits_, m);
+            ClearDirty(m);
+          }
+        });
+    deferred_bits_[w] = 0;
+  }
+}
+
+bool MesosAllocator::Pull(ResourceOffer& offer, const Resources& task) {
+  static_assert(CellState::kBlockSize == 64, "one bitmap word per block");
+  const CellState& cell = sim_.cell();
+  const uint32_t n = cell.NumMachines();
+  // Under exact fullness a block's availability summary bounds every slice
+  // in the block (a slice never exceeds its machine's availability).
+  const bool prune = cell.fullness_policy() == FullnessPolicy::kExact;
+  if (offer.lazy != 0 && offer.lazy == deferred_epoch_) {
+    while (deferred_cursor_ < n) {
+      const MachineId m = NextSetBit(deferred_bits_, deferred_cursor_);
+      if (m >= n) {
+        break;
+      }
+      const size_t block = m / 64;
+      const bool whole_block = deferred_cursor_ <= block * 64;
+      if (whole_block && ((dirty_bound_valid_[block] != 0 &&
+                           !task.FitsIn(dirty_bound_[block])) ||
+                          (prune && !cell.BlockMayFit(m, task)))) {
+        deferred_cursor_ = CellState::NextBlockStart(m);
+        continue;
+      }
+      // Walk the rest of the block; a whole block walked without a fit
+      // leaves its bound behind for later rounds.
+      Resources bound;
+      uint64_t bits = deferred_bits_[block] & (~uint64_t{0} << (m % 64));
+      for (; bits != 0; bits &= bits - 1) {
+        const MachineId d = static_cast<MachineId>(
+            block * 64 + std::countr_zero(bits));
+        const Resources slice = Unoffered(d);
+        if (!slice.IsZero() && task.FitsIn(slice)) {
+          deferred_cursor_ = d + 1;
+          ClearBit(deferred_bits_, d);
+          TakeSlice(d, offer.slices);
+          return true;
+        }
+        bound.cpus = std::max(bound.cpus, slice.cpus);
+        bound.mem_gb = std::max(bound.mem_gb, slice.mem_gb);
+      }
+      if (whole_block) {
+        dirty_bound_[block] = bound;
+        dirty_bound_valid_[block] = 1;
+      }
+      deferred_cursor_ = CellState::NextBlockStart(m);
+    }
+    deferred_cursor_ = n;
+    return false;
+  }
+  if (!lock_held_ || offer.lazy != lock_epoch_) {
+    return false;
+  }
+  while (lock_cursor_ < n) {
+    const MachineId m = lock_cursor_;
+    if (prune && m % 64 == 0 && !cell.BlockMayFit(m, task)) {
+      // No task fits anywhere in the block: only its dirty explicit machines
+      // take their slices, as the eager offer did.
+      ForEachSetBit(dirty_bits_[m / 64], m,
+                    [&](MachineId d) { TakeSlice(d, lock_slices_); });
+      lock_cursor_ = CellState::NextBlockStart(m);
+      continue;
+    }
+    ++lock_cursor_;
+    MaterializeDeferred(m);
+    const Resources slice = Unoffered(m);
+    if (slice.IsZero()) {
+      continue;
+    }
+    if (task.FitsIn(slice)) {
+      SetBit(explicit_bits_, m);
+      TakeSlice(m, offer.slices);
+      return true;
+    }
+    // A slice no task fits stays under the lock unless its machine is
+    // already explicit.
+    if (IsExplicit(m)) {
+      TakeSlice(m, lock_slices_);
+    }
+  }
+  return false;
+}
+
 void MesosAllocator::RunAllocationRound() {
   MesosFramework* framework = PickFramework();
   if (framework == nullptr) {
     return;
   }
-  // Build the offer: every machine's currently unused and unoffered
-  // resources. The simple allocator offers everything available (§3.3 fn 3).
+  // The simple allocator offers every machine's unused and unoffered
+  // resources (§3.3 fn 3).
   ResourceOffer offer;
-  const CellState& cell = sim_.cell();
-  for (MachineId m = 0; m < cell.NumMachines(); ++m) {
-    const Resources available =
-        (cell.machine(m).Available() - offered_[m]).ClampNonNegative();
-    if (available.IsZero()) {
-      continue;
+  if (lock_held_) {
+    // Every machine the lock covers is saturated, and so is every explicit
+    // machine that is not dirty. The offer is the dirty machines; it defers
+    // them all and the framework pulls the ones it uses.
+    // The lock holder and this offer are busy, so with MesosSimulation's
+    // two frameworks no other round runs until one of them returns.
+    OMEGA_CHECK(deferred_epoch_ == 0) << "one deferred offer at a time";
+    const uint32_t n = sim_.cell().NumMachines();
+    MachineId first = NextSetBit(dirty_bits_, 0);
+    while (first < n && Unoffered(first).IsZero()) {
+      ClearDirty(first);
+      first = NextSetBit(dirty_bits_, first + 1);
     }
-    offer.slices.push_back(OfferSlice{m, available});
-    offered_[m] += available;
+    if (first >= n) {
+      // Nothing to offer right now; a task finish or offer return re-triggers.
+      return;
+    }
+    deferred_bits_ = dirty_bits_;
+    deferred_epoch_ = ++epoch_;
+    deferred_cursor_ = first;
+    offer.lazy = deferred_epoch_;
+    framework->HandleOffer(std::move(offer));
+  } else {
+    const uint32_t n = sim_.cell().NumMachines();
+    MachineId first = 0;
+    for (; first < n; ++first) {
+      MaterializeDeferred(first);
+      if (!Unoffered(first).IsZero()) {
+        break;
+      }
+    }
+    if (first == n) {
+      return;  // nothing to offer, as above
+    }
+    // Take the implicit lock: it covers every machine that is not explicit.
+    lock_epoch_ = ++epoch_;
+    lock_held_ = true;
+    lock_cursor_ = first;
+    offer.lazy = lock_epoch_;
+    framework->HandleOffer(std::move(offer));
+    // Dirty explicit machines past the framework's last pull take their
+    // slices now, as the eager offer did.
+    for (size_t w = lock_cursor_ / 64;
+         num_dirty_ != 0 && w < dirty_bits_.size(); ++w) {
+      uint64_t word = dirty_bits_[w];
+      if (w == lock_cursor_ / 64) {
+        word &= ~uint64_t{0} << (lock_cursor_ % 64);
+      }
+      ForEachSetBit(word, static_cast<MachineId>(w * 64),
+                    [&](MachineId m) { TakeSlice(m, lock_slices_); });
+    }
   }
-  if (offer.Empty()) {
-    // Nothing to offer right now; a task finish or offer return re-triggers.
-    return;
-  }
-  framework->HandleOffer(std::move(offer));
   // Other frameworks may still be pending; try to offer whatever remains.
   Trigger();
 }
 
 void MesosAllocator::OnResourcesAllocated(const MesosFramework* framework,
                                           const Resources& r) {
-  for (size_t i = 0; i < frameworks_.size(); ++i) {
-    if (frameworks_[i] == framework) {
-      allocated_[i] += r;
-      return;
-    }
-  }
-  OMEGA_CHECK(false) << "unregistered framework";
+  allocated_[IndexOf(framework)] += r;
 }
 
 void MesosAllocator::OnResourcesFreed(const MesosFramework* framework,
                                       const Resources& r) {
-  for (size_t i = 0; i < frameworks_.size(); ++i) {
-    if (frameworks_[i] == framework) {
-      allocated_[i] -= r;
-      allocated_[i] = allocated_[i].ClampNonNegative();
-      Trigger();
-      return;
-    }
-  }
-  OMEGA_CHECK(false) << "unregistered framework";
+  Resources& allocated = allocated_[IndexOf(framework)];
+  allocated -= r;
+  allocated = allocated.ClampNonNegative();
+  Trigger();
 }
 
 void MesosAllocator::OnOfferResourcesUsed(const std::vector<TaskClaim>& claims) {
   for (const TaskClaim& claim : claims) {
-    offered_[claim.machine] -= claim.resources;
-    offered_[claim.machine] = offered_[claim.machine].ClampNonNegative();
+    Unlock(claim.machine, claim.resources);
   }
 }
 
 void MesosAllocator::ReturnOffer(const ResourceOffer& offer) {
-  for (const OfferSlice& slice : offer.slices) {
-    offered_[slice.machine] -= slice.resources;
-    offered_[slice.machine] = offered_[slice.machine].ClampNonNegative();
+  if (offer.lazy != 0 && offer.lazy == deferred_epoch_) {
+    ReleaseDeferred();
   }
+  if (lock_held_ && offer.lazy == lock_epoch_) {
+    // Every slice still under the lock returns 0 + s - s == 0 exactly, so
+    // releasing it needs no per-machine work. Releasing it first lets the
+    // explicit slices that return to zero fall back out of the explicit set.
+    lock_held_ = false;
+    for (const OfferSlice& slice : lock_slices_) {
+      Unlock(slice.machine, slice.resources);
+    }
+    lock_slices_.clear();
+  }
+  for (const OfferSlice& slice : offer.slices) {
+    Unlock(slice.machine, slice.resources);
+  }
+}
+
+Resources MesosAllocator::OfferedOn(MachineId machine) const {
+  const bool implicit = lock_held_ && !IsExplicit(machine);
+  const bool deferred =
+      deferred_epoch_ != 0 && TestBit(deferred_bits_, machine);
+  if (!implicit && !deferred) {
+    return offered_[machine];
+  }
+  const Resources slice = Unoffered(machine);
+  return slice.IsZero() ? offered_[machine] : offered_[machine] + slice;
 }
 
 Resources MesosAllocator::TotalOffered() const {
   Resources sum;
-  for (const Resources& r : offered_) {
-    sum += r;
+  for (MachineId m = 0; m < sim_.cell().NumMachines(); ++m) {
+    sum += OfferedOn(m);
   }
   return sum;
 }

@@ -15,7 +15,6 @@
 #include <map>
 #include <vector>
 
-#include "src/common/deterministic_reduce.h"
 #include "src/mesos/offer.h"
 #include "src/scheduler/cluster_simulation.h"
 #include "src/scheduler/config.h"
@@ -81,6 +80,18 @@ class MesosFramework {
 // "The DRF algorithm ... is quite fast"); successive allocation rounds are
 // additionally paced by `min_round_interval`, matching Mesos's batched
 // allocation cycle (and bounding simulation cost on large cells).
+//
+// Offers are locked lazily (DESIGN.md §7). A round with no implicit lock
+// outstanding takes it: its offer covers every unoffered machine, but a
+// machine's slice is only written to `offered_` when a task fits on it, when
+// the machine already has a non-zero `offered_` entry, or just before the
+// machine changes (the cell's mutation hook). A round that starts while the
+// lock is held offers only the dirty machines, those changed since: every
+// other machine is saturated. That offer is deferred the same way: slices
+// become explicit when pulled or before their machine changes, and the rest
+// replay the eager return arithmetic when the offer comes back. OfferedOn and
+// TotalOffered add the implicit shares on the fly, so every observable value
+// matches offering all machines eagerly.
 class MesosAllocator {
  public:
   explicit MesosAllocator(MesosSimulation& sim,
@@ -93,6 +104,11 @@ class MesosAllocator {
   // exist, schedule an allocation round.
   void Trigger();
 
+  // Pulls the next slice of `offer` on which `task` fits, in machine order,
+  // and appends it to offer.slices; false once no such slice remains. Only
+  // valid during the framework's HandleOffer.
+  bool Pull(ResourceOffer& offer, const Resources& task);
+
   // Framework bookkeeping for DRF and offer locking.
   void OnResourcesAllocated(const MesosFramework* framework, const Resources& r);
   void OnResourcesFreed(const MesosFramework* framework, const Resources& r);
@@ -104,31 +120,90 @@ class MesosAllocator {
   void OnOfferResourcesUsed(const std::vector<TaskClaim>& claims);
 
   // Offered (locked) resources on `machine`.
-  const Resources& OfferedOn(MachineId machine) const { return offered_[machine]; }
+  Resources OfferedOn(MachineId machine) const;
   Resources TotalOffered() const;
   double DominantShare(const MesosFramework* framework) const;
 
  private:
   void RunAllocationRound();
   // DRF argmin: the pending framework with the lowest dominant share,
-  // earliest registration order on ties. Scans sequentially without an
-  // intra-trial pool; with one, shards across it via DeterministicReducer
-  // (negated-share scores, so the ordered strictly-greater merge reproduces
-  // the sequential scan bit for bit — diffed in parallel_reduce_test).
+  // earliest registration order on ties.
   MesosFramework* PickFramework();
+  // Position of `framework` in registration order; CHECK-fails if it was
+  // never registered.
+  size_t IndexOf(const MesosFramework* framework) const;
+
+  // The eager offer's slice on `machine`: its available resources not yet
+  // offered explicitly.
+  Resources Unoffered(MachineId machine) const;
+  bool IsExplicit(MachineId machine) const;
+  void MarkDirty(MachineId machine);
+  void ClearDirty(MachineId machine);
+  // Locks explicit `machine`'s unoffered share, if non-zero, and appends it
+  // to `slices`.
+  void TakeSlice(MachineId machine, std::vector<OfferSlice>& slices);
+  // Releases `r` of `machine`'s offered_ entry (a used claim or a returned
+  // slice). With no lock held, an explicit machine whose entry drops to zero
+  // stops being explicit.
+  void Unlock(MachineId machine, const Resources& r);
+  // Makes `machine`'s implicitly locked slice explicit, on behalf of the lock
+  // holder; a no-op if the lock is not held or the machine is explicit.
+  void Materialize(MachineId machine);
+  // Makes `machine`'s deferred slice explicit, on behalf of the deferred
+  // offer; a no-op if it has none.
+  void MaterializeDeferred(MachineId machine);
+  // Returns the deferred offer's slices.
+  void ReleaseDeferred();
+  // The cell's mutation hook.
+  void BeforeMachineChange(MachineId machine);
 
   MesosSimulation& sim_;
   Duration decision_time_;
   Duration min_round_interval_;
   std::vector<MesosFramework*> frameworks_;
   std::vector<Resources> allocated_;  // per framework, for DRF
-  std::vector<Resources> offered_;    // per machine, locked in offers
-  DeterministicReducer reducer_;
+  std::vector<Resources> offered_;    // per machine, explicitly locked
+  // Bitmaps over machines. Explicit machines hold their locked share in
+  // offered_; while the implicit lock is held it covers every other machine,
+  // whose offered_ entry is zero. Dirty machines are the explicit ones whose
+  // unoffered share may be non-zero (it grows only when the machine changes
+  // or its offered_ entry drops): rounds under the lock, and the holder's
+  // offer past its last pull, visit only those, in id order.
+  std::vector<uint64_t> explicit_bits_;
+  std::vector<uint64_t> dirty_bits_;
+  size_t num_dirty_ = 0;
+  // Per 64-machine block, when valid: an upper bound on the unoffered share
+  // of its dirty machines, left by a deferred offer's pull that walked the
+  // whole block without a fit. Any change that could raise one invalidates
+  // it, so later pulls skip blocks no task fits.
+  std::vector<Resources> dirty_bound_;
+  std::vector<uint8_t> dirty_bound_valid_;
+  // The implicit lock: its epoch (an offer holds it iff offer.lazy equals
+  // it), the holder's pull cursor, and the holder's explicit slices that no
+  // task fits (kept here rather than in its offer, which lists only the
+  // slices it pulled).
+  uint64_t epoch_ = 0;  // last epoch handed out, to a lock or deferred offer
+  uint64_t lock_epoch_ = 0;
+  bool lock_held_ = false;
+  MachineId lock_cursor_ = 0;
+  std::vector<OfferSlice> lock_slices_;
+  // The deferred offer: a round made while the lock is held offers the dirty
+  // machines, and each keeps its eager slice only virtually (offered_ + its
+  // unoffered share) until the framework pulls it, the machine changes, or
+  // the offer returns. Its epoch (0: none), its machines, the framework's
+  // pull cursor, and the slices made explicit on its behalf. Stable machines
+  // are those whose offered_ entry survives an eager offer-and-return round
+  // trip unchanged, so returning a deferred slice there is free.
+  uint64_t deferred_epoch_ = 0;
+  std::vector<uint64_t> deferred_bits_;
+  MachineId deferred_cursor_ = 0;
+  std::vector<OfferSlice> deferred_slices_;
+  std::vector<uint64_t> stable_bits_;
   bool round_scheduled_ = false;
   SimTime last_round_;
 };
 
-class MesosSimulation final : public ClusterSimulation {
+class MesosSimulation : public ClusterSimulation {
  public:
   MesosSimulation(const ClusterConfig& config, const SimOptions& options,
                   const SchedulerConfig& batch_config,

@@ -1,6 +1,7 @@
 // Resource offers (two-level scheduling, §3.3).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "src/cluster/machine.h"
@@ -15,22 +16,17 @@ struct OfferSlice {
   Resources resources;
 };
 
-// An offer: the set of per-machine available resources handed to one
-// framework. The Mesos "simple allocator" offers *all* available resources at
-// once and does not limit what a framework may accept (§3.3, footnote 3).
+// An offer: the per-machine available resources handed to one framework. The
+// Mesos "simple allocator" offers *all* available resources at once and does
+// not limit what a framework may accept (§3.3, footnote 3).
+//
+// `slices` holds the slices the framework has pulled, in machine order. An
+// offer with a non-zero `lazy` epoch holds more: the allocator keeps the rest
+// of it implicit, and the framework pulls slices on demand through
+// MesosAllocator::Pull (DESIGN.md §7).
 struct ResourceOffer {
   std::vector<OfferSlice> slices;
-
-  Resources Total() const {
-    Resources sum;
-    for (const OfferSlice& s : slices) {
-      sum += s.resources;
-    }
-    return sum;
-  }
-
-  bool Empty() const { return slices.empty(); }
+  uint64_t lazy = 0;
 };
 
 }  // namespace omega
-

@@ -641,9 +641,10 @@ TEST(PlacerParallelDifferentialTest, ScoringPlacerFullScanFallbackBitIdentical) 
 }
 
 // ---------------------------------------------------------------------------
-// Mesos DRF argmin differential: the allocator's PickFramework shards its
-// dominant-share scan across the intra-trial pool; a full simulation with
-// threads must be bit-identical to the sequential reference.
+// Mesos thread-count differential: the allocator itself runs sequentially,
+// but a Mesos cell with an intra-trial pool still shares the pooled cell
+// paths (Commit pre-check), so a full simulation with threads must be
+// bit-identical to the sequential one.
 // ---------------------------------------------------------------------------
 
 TEST(MesosDrfParallelTest, FullSimulationBitIdenticalAcrossThreads) {
