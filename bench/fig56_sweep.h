@@ -35,7 +35,8 @@ struct SweepResult {
 // `tjob_points` sets the t_job grid resolution (7 reproduces the figures; the
 // determinism test uses a coarser grid to stay fast). `base_options` seeds
 // every trial's SimOptions (horizon and seed are overwritten per trial) — the
-// SoA differential test uses it to re-run the grid with soa_cell off.
+// intra-trial differential test uses it to re-run the grid at another
+// intra_trial_threads value.
 inline std::vector<SweepResult> RunFig56Sweep(const Duration horizon,
                                               SweepRunner& runner,
                                               int tjob_points = 7,

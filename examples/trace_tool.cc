@@ -5,6 +5,7 @@
 //   ./build/examples/trace_tool generate <path> [hours]
 //   ./build/examples/trace_tool info <path>
 //   ./build/examples/trace_tool replay <path>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -83,24 +84,46 @@ int Replay(const std::string& path) {
   for (uint32_t i = 0; i < sim->NumBatchSchedulers(); ++i) {
     scheduled += sim->batch_scheduler(i).metrics().JobsScheduled(JobType::kBatch);
   }
+  // Jobs neither fully scheduled nor abandoned were still queued or mid-
+  // attempt when the horizon (the last submission) cut the replay off.
+  const int64_t pending =
+      sim->JobsSubmittedTotal() - scheduled - sim->TotalJobsAbandoned();
   std::cout << "replayed " << submitted << " jobs; scheduled " << scheduled
             << ", abandoned " << sim->TotalJobsAbandoned() << "\n"
+            << "pending at horizon: " << pending << "\n"
             << "final cpu utilization: "
             << FormatValue(sim->cell().CpuUtilization()) << "\n";
   return 0;
+}
+
+constexpr const char* kUsage =
+    "usage: trace_tool generate|info|replay <path> [hours]\n";
+
+// Parses the whole of `text` as a finite, positive number of hours.
+bool ParseHours(const char* text, double* hours) {
+  char* end = nullptr;
+  *hours = std::strtod(text, &end);
+  return end != text && *end == '\0' && std::isfinite(*hours) && *hours > 0.0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 3) {
-    std::cerr << "usage: trace_tool generate|info|replay <path> [hours]\n";
+    std::cerr << kUsage;
     return 2;
   }
   const std::string command = argv[1];
   const std::string path = argv[2];
   if (command == "generate") {
-    return Generate(path, argc > 3 ? std::atof(argv[3]) : 1.0);
+    double hours = 1.0;
+    if (argc > 3 && !ParseHours(argv[3], &hours)) {
+      std::cerr << "hours must be a finite number > 0, got '" << argv[3]
+                << "'\n"
+                << kUsage;
+      return 2;
+    }
+    return Generate(path, hours);
   }
   if (command == "info") {
     return Info(path);

@@ -630,11 +630,9 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
   // machine instead of one Allocate per claim. Grouping reorders the
   // application across machines, which is state-identical here because
   // identical per-task resources make the floating-point sums order-free
-  // (DESIGN.md §10); the availability index is order-sensitive, so it keeps
-  // the per-claim path.
-  const bool grouped =
-      batched_commit_ && uniform_resources && !HasAvailabilityIndex();
-  if (grouped) {
+  // (DESIGN.md §10); mixed-resource transactions and the order-sensitive
+  // availability index keep the per-claim path.
+  if (uniform_resources && !HasAvailabilityIndex()) {
     commit_scratch_.clear();
     for (size_t i = 0; i < claims.size(); ++i) {
       if (accept[i] != 0) {

@@ -125,7 +125,13 @@ class CellState {
   // Atomically commits a set of claims placed against an earlier snapshot.
   // Accepted claims are allocated; conflicting claims (per `conflict_mode`,
   // `commit_mode`) are reported in `rejected` if non-null. Claims within one
-  // transaction never conflict with each other on sequence numbers.
+  // transaction never conflict with each other on sequence numbers. When
+  // every claim carries identical resources (the §2.1 cohort property the
+  // workload model guarantees) and no availability index is attached,
+  // accepted claims are applied grouped per machine, one AllocateBatch per
+  // distinct machine; otherwise one Allocate per claim in claim order. The
+  // resulting state is bit-identical to the per-claim reference in
+  // tests/reference_cell.h (DESIGN.md §10).
   CommitResult Commit(std::span<const TaskClaim> claims, ConflictMode conflict_mode,
                       CommitMode commit_mode,
                       std::vector<TaskClaim>* rejected = nullptr);
@@ -148,15 +154,6 @@ class CellState {
   // state.
   using MutationHook = std::function<void(MachineId)>;
   void SetMutationHook(MutationHook hook) { mutation_hook_ = std::move(hook); }
-
-  // When enabled (the default), Commit applies accepted claims grouped per
-  // machine — one AllocateBatch per distinct machine — whenever every claim
-  // in the transaction carries identical resources (the §2.1 cohort property
-  // the workload model guarantees) and no availability index is attached.
-  // Bit-identical to the per-claim path (DESIGN.md §10); the toggle exists so
-  // tests can compare the grouped path against the per-claim reference.
-  void SetBatchedCommit(bool on) { batched_commit_ = on; }
-  bool batched_commit() const { return batched_commit_; }
 
   Resources TotalCapacity() const { return total_capacity_; }
   Resources TotalAllocated() const { return total_allocated_; }
@@ -257,14 +254,6 @@ class CellState {
   // a pre-filter changes no placement decision.
   MachineId FindFirstFit(MachineId begin, MachineId end,
                          const Resources& request) const;
-
-  // Gates whether placers use the SoA sweep (FindFirstFit) or the original
-  // per-Machine scan for their linear fallbacks. Decisions are identical
-  // either way by construction (SimOptions::soa_cell, DESIGN.md §11); the
-  // toggle exists so differential tests can compare the two paths. The SoA
-  // mirrors themselves are always maintained.
-  void SetSoAScan(bool on) { soa_scan_ = on; }
-  bool soa_scan() const { return soa_scan_; }
 
   // --- intra-trial parallelism (DESIGN.md §12) ---
   //
@@ -412,7 +401,6 @@ class CellState {
   std::vector<double> soa_alloc_mem_;
   std::vector<double> soa_fit_cpu_;
   std::vector<double> soa_fit_mem_;
-  bool soa_scan_ = true;
 
   // Per-block componentwise maximum of UsableAvail over the block's machines
   // (always maintained; one entry per kBlockSize machines), split into
@@ -428,7 +416,6 @@ class CellState {
 
   CommitObserver commit_observer_;
   MutationHook mutation_hook_;
-  bool batched_commit_ = true;
   // Commit scratch, reused across transactions: the per-machine grouping
   // list, the per-claim accept flags, and the pending same-transaction sums
   // as a dense epoch-stamped per-machine array (an array read per claim

@@ -42,36 +42,4 @@ size_t DeterministicReducer::FirstMatch(WorkerPool* pool, size_t n,
   return kReduceNotFound;
 }
 
-DeterministicReducer::Best DeterministicReducer::ArgBest(WorkerPool* pool,
-                                                         size_t n,
-                                                         size_t grain,
-                                                         const BestFn& scan) {
-  if (n == 0) {
-    return Best{};
-  }
-  if (grain == 0) {
-    grain = 1;
-  }
-  const size_t num_shards = (n + grain - 1) / grain;
-  if (pool == nullptr || pool->concurrency() <= 1 || num_shards <= 1) {
-    return scan(0, n);
-  }
-  shard_best_.assign(num_shards, Best{});
-  pool->Run(num_shards, [&](size_t s) {
-    const size_t begin = s * grain;
-    shard_best_[s] = scan(begin, std::min(n, begin + grain));
-  });
-  Best best;
-  for (size_t s = 0; s < num_shards; ++s) {
-    const Best& b = shard_best_[s];
-    if (b.index == kReduceNotFound) {
-      continue;
-    }
-    if (best.index == kReduceNotFound || b.score > best.score) {
-      best = b;
-    }
-  }
-  return best;
-}
-
 }  // namespace omega

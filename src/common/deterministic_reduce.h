@@ -1,30 +1,17 @@
 // Deterministic ordered map-reduce over index ranges (DESIGN.md §12).
 //
-// The placement hot paths are sequential scans over machine ids with two
-// reduction shapes:
+// The sharded placement scan is a sequential search over machine ids of one
+// shape, FirstMatch: "lowest index satisfying a predicate" (RandomizedFirstFit
+// phase-2 sweep under constraints). It is order-insensitive to *evaluation*
+// (each index's verdict depends only on shared read-only state) but
+// order-sensitive in its *selection*. DeterministicReducer shards [0, n) into
+// fixed contiguous ranges, evaluates shards concurrently on a WorkerPool, and
+// merges per-shard results in ascending shard order on the calling thread.
+// Because shard boundaries are a partition of the index space and the merge
+// takes the first hit in index order, the reduced result is bit-identical to
+// the sequential scan for every shard layout and thread count.
 //
-//   FirstMatch — "lowest index satisfying a predicate" (RandomizedFirstFit
-//     phase-2 sweep, ScoringPlacer full-scan fallback);
-//   ArgBest — "index with the strictly greatest score, earliest index wins
-//     ties" (ScoringPlacer candidate sampling).
-//
-// Both are order-insensitive to *evaluation* (each index's verdict/score
-// depends only on shared read-only state) but order-sensitive in their
-// *selection*. DeterministicReducer shards [0, n) into fixed contiguous
-// ranges, evaluates shards concurrently on a WorkerPool, and merges per-shard
-// results in ascending shard order on the calling thread. Because shard
-// boundaries are a partition of the index space and the merge visits shards
-// in index order with the same comparison the sequential scan uses (first
-// hit; strictly-greater-wins), the reduced result is bit-identical to the
-// sequential scan for every shard layout and thread count.
-//
-// Floating-point note: no FP value is ever *combined* across threads — each
-// score is computed independently for one index by one thread from the same
-// inputs the sequential scan would use, and the merge only compares. Scores
-// must not be NaN (comparisons against NaN would make "strictly greater"
-// order-dependent).
-//
-// Per-shard scratch lives in member vectors that are reused across calls, so
+// Per-shard scratch lives in a member vector that is reused across calls, so
 // steady-state reductions do not allocate.
 #pragma once
 
@@ -85,16 +72,6 @@ class DeterministicReducer {
   // hit in a later range.)
   using ScanFn = std::function<size_t(size_t begin, size_t end)>;
 
-  struct Best {
-    size_t index = kReduceNotFound;
-    double score = 0.0;
-  };
-  // scan(begin, end) must return the argmax over [begin, end) under
-  // "strictly greater score wins, earliest index wins ties", with
-  // index == kReduceNotFound when no index in the range is eligible —
-  // again the sequential scan restricted to a subrange.
-  using BestFn = std::function<Best(size_t begin, size_t end)>;
-
   // Lowest matching index in [0, n), or kReduceNotFound. Shards later than
   // the earliest known hit are skipped opportunistically (a relaxed atomic
   // bound); skipped shards can never win the ordered merge, so the early
@@ -102,15 +79,8 @@ class DeterministicReducer {
   size_t FirstMatch(WorkerPool* pool, size_t n, size_t grain,
                     const ScanFn& scan);
 
-  // Global argmax under the contract above. No early exit: every shard's
-  // local best is computed, then merged in shard order with a strict
-  // greater-than, so ties resolve to the earliest index exactly as the
-  // sequential scan would.
-  Best ArgBest(WorkerPool* pool, size_t n, size_t grain, const BestFn& scan);
-
  private:
   std::vector<size_t> shard_hit_;
-  std::vector<Best> shard_best_;
 };
 
 }  // namespace omega

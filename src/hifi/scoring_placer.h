@@ -17,8 +17,10 @@
 namespace omega {
 
 struct ScoringPlacerOptions {
-  // Number of candidate machines examined per task (power-of-k-choices
-  // sampling keeps placement cost bounded on large cells).
+  // Sizes the availability walk's budget per task: a task stops after
+  // scoring max(1, candidate_sample / 8) feasible machines, or at the first
+  // feasible machine once candidate_sample * 4 walk positions are behind it,
+  // which keeps placement cost bounded on large cells (DESIGN.md §7).
   uint32_t candidate_sample = 64;
   // Weight of the best-fit packing term (prefer fuller machines).
   double best_fit_weight = 1.0;
@@ -31,6 +33,9 @@ class ScoringPlacer final : public TaskPlacer {
  public:
   explicit ScoringPlacer(ScoringPlacerOptions options = {});
 
+  // CHECK-fails unless the cell carries an availability index
+  // (CellState::EnableAvailabilityIndex): placement walks it. Draws nothing
+  // from `rng`.
   uint32_t PlaceTasks(const CellState& cell, const Job& job, uint32_t count,
                       Rng& rng, std::vector<TaskClaim>* claims) override;
 
@@ -41,10 +46,6 @@ class ScoringPlacer final : public TaskPlacer {
   // scratch (domains are small dense ints), replacing the former
   // unordered_set so the scoring hot path does no hashing.
   EpochFlagSet domains_scratch_;
-  // Sharded sampling/full-scan scratch, engaged when the cell carries an
-  // intra-trial worker pool (DESIGN.md §12).
-  DeterministicReducer reducer_;
-  std::vector<MachineId> sample_scratch_;
   // Availability-index walk of the current call, in walk order: each
   // position's machine and the next position still worth visiting (dead
   // positions are unlinked). At most one slot per machine.

@@ -84,19 +84,10 @@ struct SimOptions {
   // can select victims. Costs memory and a little time; off by default.
   bool track_running_tasks = false;
 
-  // Cohort task-lifecycle batching (DESIGN.md §10): one end event per
-  // placement batch instead of one per task, with per-machine aggregated
-  // frees, and per-machine grouped commit application in CellState. Results
-  // are bit-identical either way by construction; the flag exists so the
-  // differential tests can compare against the per-task reference path.
-  bool cohort_batching = true;
-
-  // Struct-of-arrays placement scans (DESIGN.md §11): the placers' linear
-  // no-fit fallbacks sweep CellState's contiguous per-resource arrays (with
-  // two-level summary pruning) instead of walking Machine structs. Placement
-  // decisions are identical either way by construction; the flag exists so
-  // the differential tests can compare against the per-Machine reference.
-  bool soa_cell = true;
+  // Cohort batching (DESIGN.md §10) and SoA scans (§11) are the only paths;
+  // the names remain, unsettable, because perfbench echoes them.
+  static constexpr bool cohort_batching = true;
+  static constexpr bool soa_cell = true;
 
   // Intra-trial parallelism (DESIGN.md §12): worker threads the placement
   // scans and Commit conflict pre-checks may use inside one trial. 1

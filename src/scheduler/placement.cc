@@ -1,7 +1,5 @@
 #include "src/scheduler/placement.h"
 
-#include <algorithm>
-
 namespace omega {
 
 bool MachineSatisfiesConstraints(const Machine& machine, const Job& job) {
@@ -52,9 +50,10 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
     // whenever one exists. Whole blocks whose availability summary cannot fit
     // the request are skipped — their machines would all fail CanFit, so the
     // first machine accepted (and hence the placement) is unchanged. The scan
-    // wraps at most once, so a block is re-summarized at most twice.
-    if (chosen == kInvalidMachineId && cell.soa_scan() &&
-        respect_constraints_ && cell.intra_trial_pool() != nullptr) {
+    // wraps at most once, so a block is re-summarized at most twice. The
+    // unpruned reference scan lives in tests/reference_cell.h.
+    if (chosen == kInvalidMachineId && respect_constraints_ &&
+        cell.intra_trial_pool() != nullptr) {
       // Sharded SoA sweep (DESIGN.md §12), engaged only under constraints:
       // without them the sequential branch below touches O(summary consults
       // + 1 hit) machines — the two-level pruning already removed the linear
@@ -62,7 +61,7 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
       // mega-cell sweep). With constraints, raw-fit hits that fail the
       // constraint re-check make the scan genuinely long, and sharding pays.
       // This is the same wrapped scan as the
-      // sequential SoA branch below — one RNG draw for the start offset, the
+      // sequential branch below — one RNG draw for the start offset, the
       // segment [start, n) then the segment [0, start) — but each segment's
       // first full-predicate match is found by a deterministic FirstMatch
       // reduction over contiguous shards. The per-index predicate (raw fit,
@@ -113,14 +112,14 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
       if (idx != kReduceNotFound) {
         chosen = range_.Nth(static_cast<uint32_t>(idx));
       }
-    } else if (chosen == kInvalidMachineId && cell.soa_scan()) {
+    } else if (chosen == kInvalidMachineId) {
       // SoA sweep: FindFirstFit walks the contiguous per-resource arrays
       // (with two-level summary pruning) and returns the first machine whose
       // raw allocation fits. Machines it skips fail CanFit outright, so they
-      // would fail the reference loop's CanFitWithPending too (pending only
+      // would fail the reference scan's CanFitWithPending too (pending only
       // shrinks availability) — candidates just need the constraint and
       // pending re-checks, and a rejected candidate resumes the sweep at the
-      // next id. Same claims, same RNG draws as the reference branch below.
+      // next id.
       const auto start = static_cast<uint32_t>(rng.NextBounded(num_machines));
       for (uint32_t i = 0; i < num_machines;) {
         const uint32_t idx = (start + i) % num_machines;
@@ -140,29 +139,6 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
         }
         if (cell.CanFitWithPending(hit, job.task_resources, pending.On(hit))) {
           chosen = hit;
-          break;
-        }
-        ++i;
-      }
-    } else if (chosen == kInvalidMachineId) {
-      const auto start = static_cast<uint32_t>(rng.NextBounded(num_machines));
-      for (uint32_t i = 0; i < num_machines;) {
-        const uint32_t idx = (start + i) % num_machines;
-        const MachineId m = range_.Nth(idx);
-        if (!cell.BlockMayFit(m, job.task_resources)) {
-          // Jump to the next block boundary, clamped to the wrap point where
-          // the scan's machine ids stop ascending.
-          const uint32_t to_next_block = CellState::NextBlockStart(m) - m;
-          i += std::min(to_next_block, num_machines - idx);
-          continue;
-        }
-        if (respect_constraints_ &&
-            !MachineSatisfiesConstraints(cell.machine(m), job)) {
-          ++i;
-          continue;
-        }
-        if (cell.CanFitWithPending(m, job.task_resources, pending.On(m))) {
-          chosen = m;
           break;
         }
         ++i;

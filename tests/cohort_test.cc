@@ -1,267 +1,25 @@
 // Cohort task-lifecycle batching (DESIGN.md §10).
 //
-// The hard design constraint is bit-identicality: every simulation must
-// produce exactly the same cell state, metrics, and trace event stream with
-// cohort batching on or off. The differential tests here run each
-// architecture both ways and compare fingerprints bitwise; the unit tests
+// The hard design constraint is bit-identicality with the per-task lifecycle
+// the cohorts replaced: scenario_digest_test pins whole-simulation digests
+// recorded from that path, and reference_cell_test diffs CellState's batched
+// and grouped mutations against a naive per-task model. The unit tests here
 // cover the batched CellState mutations, the partial-cancel (tombstone)
 // paths, and the TaskRegistry slab against naive reference models.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "src/cluster/cell_state.h"
 #include "src/cluster/task_registry.h"
 #include "src/common/random.h"
-#include "src/hifi/hifi_simulation.h"
-#include "src/mapreduce/mr_scheduler.h"
-#include "src/mapreduce/policy.h"
-#include "src/mesos/mesos_simulation.h"
-#include "src/omega/omega_scheduler.h"
 #include "src/scheduler/cluster_simulation.h"
-#include "src/scheduler/monolithic.h"
-#include "src/trace/trace_recorder.h"
 #include "src/workload/cluster_config.h"
 
 namespace omega {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Differential fingerprinting: run an architecture with cohort batching on
-// and off, demand bitwise-equal cell state, counters, and trace streams.
-// ---------------------------------------------------------------------------
-
-struct SimFingerprint {
-  std::vector<uint64_t> seqnums;
-  std::vector<double> allocated;  // cpus, mem per machine, exact
-  double total_cpus = 0.0;
-  double total_mem = 0.0;
-  int64_t submitted = 0;
-  int64_t preempted = 0;
-  int64_t failures = 0;
-  int64_t killed = 0;
-  std::vector<TraceEvent> events;
-  std::vector<int64_t> event_counts;
-};
-
-SimFingerprint Fingerprint(const ClusterSimulation& sim,
-                           const TraceRecorder& trace) {
-  SimFingerprint fp;
-  const CellState& cell = sim.cell();
-  for (MachineId m = 0; m < cell.NumMachines(); ++m) {
-    fp.seqnums.push_back(cell.machine(m).seqnum);
-    fp.allocated.push_back(cell.machine(m).allocated.cpus);
-    fp.allocated.push_back(cell.machine(m).allocated.mem_gb);
-  }
-  fp.total_cpus = cell.TotalAllocated().cpus;
-  fp.total_mem = cell.TotalAllocated().mem_gb;
-  fp.submitted = sim.JobsSubmittedTotal();
-  fp.preempted = sim.TasksPreempted();
-  fp.failures = sim.MachineFailures();
-  fp.killed = sim.TasksKilledByFailures();
-  trace.ForEachRetained(
-      [&fp](const TraceEvent& e) { fp.events.push_back(e); });
-  for (size_t t = 0; t < kNumTraceEventTypes; ++t) {
-    fp.event_counts.push_back(trace.CountOf(static_cast<TraceEventType>(t)));
-    fp.event_counts.push_back(trace.SumArg0(static_cast<TraceEventType>(t)));
-  }
-  return fp;
-}
-
-void ExpectIdentical(const SimFingerprint& batched,
-                     const SimFingerprint& per_task) {
-  EXPECT_EQ(batched.seqnums, per_task.seqnums);
-  EXPECT_EQ(batched.allocated, per_task.allocated);  // bitwise via operator==
-  EXPECT_EQ(batched.total_cpus, per_task.total_cpus);
-  EXPECT_EQ(batched.total_mem, per_task.total_mem);
-  EXPECT_EQ(batched.submitted, per_task.submitted);
-  EXPECT_EQ(batched.preempted, per_task.preempted);
-  EXPECT_EQ(batched.failures, per_task.failures);
-  EXPECT_EQ(batched.killed, per_task.killed);
-  EXPECT_EQ(batched.event_counts, per_task.event_counts);
-  ASSERT_EQ(batched.events.size(), per_task.events.size());
-  for (size_t i = 0; i < batched.events.size(); ++i) {
-    const TraceEvent& a = batched.events[i];
-    const TraceEvent& b = per_task.events[i];
-    ASSERT_TRUE(a.time_us == b.time_us && a.type == b.type &&
-                a.track == b.track && a.job == b.job &&
-                a.machine == b.machine && a.seqnum == b.seqnum &&
-                a.arg0 == b.arg0 && a.arg1 == b.arg1)
-        << "trace streams diverge at event " << i;
-  }
-}
-
-// Runs `make_and_run(options, trace)` twice — cohort batching on, then off —
-// and asserts bitwise-identical outcomes. The factory must construct the
-// simulation, attach the recorder, run, and return the simulation's
-// fingerprint.
-template <typename MakeAndRun>
-void DiffCohortPaths(SimOptions options, MakeAndRun&& make_and_run) {
-  options.cohort_batching = true;
-  TraceRecorder trace_on;
-  const SimFingerprint batched = make_and_run(options, trace_on);
-  options.cohort_batching = false;
-  TraceRecorder trace_off;
-  const SimFingerprint per_task = make_and_run(options, trace_off);
-  ExpectIdentical(batched, per_task);
-}
-
-SimOptions DiffRun(uint64_t seed, double hours = 3.0) {
-  SimOptions o;
-  o.horizon = Duration::FromHours(hours);
-  o.seed = seed;
-  return o;
-}
-
-TEST(CohortDifferentialTest, MonolithicBitIdentical) {
-  for (uint64_t seed : {1u, 7u}) {
-    DiffCohortPaths(DiffRun(seed), [](const SimOptions& o, TraceRecorder& t) {
-      MonolithicSimulation sim(TestCluster(64), o, SchedulerConfig{});
-      sim.SetTraceRecorder(&t);
-      sim.Run();
-      EXPECT_TRUE(sim.cell().CheckInvariants());
-      return Fingerprint(sim, t);
-    });
-  }
-}
-
-TEST(CohortDifferentialTest, OmegaMultiSchedulerBitIdentical) {
-  // Multiple schedulers commit against the shared cell, so this exercises
-  // conflicting transactions, partial commit (incremental mode), and
-  // ReconstructAcceptedClaims feeding the cohort path.
-  for (uint64_t seed : {2u, 11u}) {
-    DiffCohortPaths(DiffRun(seed), [](const SimOptions& o, TraceRecorder& t) {
-      OmegaSimulation sim(TestCluster(64), o, SchedulerConfig{},
-                          SchedulerConfig{}, 3);
-      sim.SetTraceRecorder(&t);
-      sim.Run();
-      EXPECT_TRUE(sim.cell().CheckInvariants());
-      return Fingerprint(sim, t);
-    });
-  }
-}
-
-TEST(CohortDifferentialTest, OmegaGangSchedulingBitIdentical) {
-  // All-or-nothing commits: gang aborts discard whole transactions before any
-  // cohort is created; retried attempts must line up bit-identically.
-  SchedulerConfig gang;
-  gang.commit_mode = CommitMode::kAllOrNothing;
-  gang.conflict_mode = ConflictMode::kCoarseGrained;
-  DiffCohortPaths(DiffRun(3), [&gang](const SimOptions& o, TraceRecorder& t) {
-    OmegaSimulation sim(TestCluster(64), o, gang, gang, 3);
-    sim.SetTraceRecorder(&t);
-    sim.Run();
-    EXPECT_TRUE(sim.cell().CheckInvariants());
-    return Fingerprint(sim, t);
-  });
-}
-
-TEST(CohortDifferentialTest, MesosFrameworksBitIdentical) {
-  // Mesos routes task-end through the on_task_end callback (allocator
-  // bookkeeping) and OnTaskFreed (offer re-triggering); both must observe
-  // the same sequence of states either way.
-  for (uint64_t seed : {4u, 13u}) {
-    DiffCohortPaths(DiffRun(seed), [](const SimOptions& o, TraceRecorder& t) {
-      MesosSimulation sim(TestCluster(64), o, SchedulerConfig{},
-                          SchedulerConfig{});
-      sim.SetTraceRecorder(&t);
-      sim.Run();
-      EXPECT_TRUE(sim.cell().CheckInvariants());
-      return Fingerprint(sim, t);
-    });
-  }
-}
-
-TEST(CohortDifferentialTest, MapReduceBitIdentical) {
-  ClusterConfig cfg = TestCluster(64);
-  cfg.mapreduce_fraction = 0.3;
-  MapReducePolicyOptions policy;
-  policy.policy = MapReducePolicy::kMaxParallelism;
-  DiffCohortPaths(DiffRun(5), [&](const SimOptions& o, TraceRecorder& t) {
-    MapReduceSimulation sim(cfg, o, SchedulerConfig{}, SchedulerConfig{},
-                            policy);
-    sim.SetTraceRecorder(&t);
-    sim.Run();
-    EXPECT_TRUE(sim.cell().CheckInvariants());
-    return Fingerprint(sim, t);
-  });
-}
-
-TEST(CohortDifferentialTest, HifiReplayBitIdentical) {
-  // The high-fidelity configuration enables the availability index, whose
-  // bucket-list order is observable through placement — the cohort path must
-  // fall back to per-task index maintenance and still win on event count.
-  const ClusterConfig cfg = TestCluster(64);
-  const std::vector<Job> trace_jobs =
-      GenerateHifiTrace(cfg, Duration::FromHours(3), 6);
-  DiffCohortPaths(DiffRun(6), [&](const SimOptions& o, TraceRecorder& t) {
-    auto sim = MakeHifiSimulation(cfg, o, SchedulerConfig{}, SchedulerConfig{});
-    sim->SetTraceRecorder(&t);
-    sim->RunTrace(trace_jobs);
-    EXPECT_TRUE(sim->cell().CheckInvariants());
-    return Fingerprint(*sim, t);
-  });
-}
-
-TEST(CohortDifferentialTest, MachineFailuresBitIdentical) {
-  // Failures kill cohort members mid-flight: the partial-cancel path must
-  // shrink the pending free so the shared end event releases exactly the
-  // survivors' resources.
-  for (uint64_t seed : {8u, 21u}) {
-    SimOptions o = DiffRun(seed, 6.0);
-    o.track_running_tasks = true;
-    o.machine_failure_rate_per_day = 12.0;
-    o.machine_repair_time = Duration::FromMinutes(30);
-    DiffCohortPaths(o, [](const SimOptions& opts, TraceRecorder& t) {
-      OmegaSimulation sim(TestCluster(64), opts, SchedulerConfig{},
-                          SchedulerConfig{});
-      sim.SetTraceRecorder(&t);
-      sim.Run();
-      EXPECT_GT(sim.MachineFailures(), 0);
-      EXPECT_TRUE(sim.cell().CheckInvariants());
-      return Fingerprint(sim, t);
-    });
-  }
-}
-
-TEST(CohortDifferentialTest, PreemptionBitIdentical) {
-  // Preemption evicts individual cohort members (and sometimes whole
-  // cohorts); victim selection reads the registry's per-machine list order,
-  // so this also pins the slab registry's order evolution.
-  // A small cell saturated with long batch work plus rare large service jobs
-  // (mirrors preemption_test's SaturatedCell): the service scheduler must
-  // evict batch tasks, including individual cohort members.
-  ClusterConfig cfg = TestCluster(8);
-  cfg.initial_utilization = 0.05;
-  cfg.batch.interarrival_mean_secs = 2.0;
-  cfg.batch.tasks_per_job = std::make_shared<ConstantDist>(8.0);
-  cfg.batch.cpus_per_task = std::make_shared<ConstantDist>(1.0);
-  cfg.batch.mem_gb_per_task = std::make_shared<ConstantDist>(1.0);
-  cfg.batch.task_duration_secs = std::make_shared<ConstantDist>(36000.0);
-  cfg.service.interarrival_mean_secs = 900.0;
-  cfg.service.tasks_per_job = std::make_shared<ConstantDist>(4.0);
-  cfg.service.cpus_per_task = std::make_shared<ConstantDist>(2.0);
-  cfg.service.mem_gb_per_task = std::make_shared<ConstantDist>(2.0);
-  cfg.service.task_duration_secs = std::make_shared<ConstantDist>(36000.0);
-  SchedulerConfig batch;
-  batch.max_attempts = 20;
-  batch.no_progress_backoff = Duration::FromSeconds(5);
-  SchedulerConfig service = batch;
-  service.enable_preemption = true;
-  SimOptions o = DiffRun(9, 6.0);
-  o.track_running_tasks = true;
-  DiffCohortPaths(o, [&](const SimOptions& opts, TraceRecorder& t) {
-    OmegaSimulation sim(cfg, opts, batch, service);
-    sim.SetTraceRecorder(&t);
-    sim.Run();
-    EXPECT_GT(sim.TasksPreempted(), 0);
-    EXPECT_TRUE(sim.cell().CheckInvariants());
-    return Fingerprint(sim, t);
-  });
-}
 
 // ---------------------------------------------------------------------------
 // CellState batched mutations vs. the per-task reference.
@@ -368,85 +126,6 @@ TEST(CellStateBatchTest, BatchedOpsWithAvailabilityIndexMatchReference) {
   EXPECT_EQ(walk_order(batched), walk_order(reference));
 }
 
-TEST(CellStateBatchTest, GroupedCommitMatchesPerClaimCommit) {
-  // Randomized transactions — stacked claims, stale seqnums, both conflict
-  // and commit modes — applied to twin cells, one with grouped application
-  // disabled. Results, rejected lists, and state must match exactly.
-  Rng rng(1234);
-  for (int round = 0; round < 200; ++round) {
-    const auto conflict = rng.NextBounded(2) == 0 ? ConflictMode::kFineGrained
-                                                  : ConflictMode::kCoarseGrained;
-    const auto commit = rng.NextBounded(2) == 0 ? CommitMode::kIncremental
-                                                : CommitMode::kAllOrNothing;
-    CellState grouped(16, Resources{8.0, 32.0});
-    CellState per_claim(16, Resources{8.0, 32.0});
-    per_claim.SetBatchedCommit(false);
-    // Pre-load some machines and bump seqnums so stale claims conflict.
-    for (int i = 0; i < 8; ++i) {
-      const auto m = static_cast<MachineId>(rng.NextBounded(16));
-      const Resources r{1.0, 4.0};
-      if (grouped.CanFit(m, r)) {
-        grouped.Allocate(m, r);
-        per_claim.Allocate(m, r);
-      }
-    }
-    const Resources task{1.0 + static_cast<double>(rng.NextBounded(3)),
-                         2.0 + static_cast<double>(rng.NextBounded(3))};
-    std::vector<TaskClaim> claims;
-    const auto n = 1 + rng.NextBounded(24);
-    for (uint64_t i = 0; i < n; ++i) {
-      const auto m = static_cast<MachineId>(rng.NextBounded(16));
-      // Mix fresh and stale seqnums to draw both accept and reject paths.
-      const uint64_t seq = rng.NextBounded(2) == 0
-                               ? grouped.machine(m).seqnum
-                               : grouped.machine(m).seqnum + 1;
-      claims.push_back(TaskClaim{m, task, seq});
-    }
-    std::vector<TaskClaim> rejected_grouped;
-    std::vector<TaskClaim> rejected_per_claim;
-    const CommitResult a =
-        grouped.Commit(claims, conflict, commit, &rejected_grouped);
-    const CommitResult b =
-        per_claim.Commit(claims, conflict, commit, &rejected_per_claim);
-    ASSERT_EQ(a.accepted, b.accepted);
-    ASSERT_EQ(a.conflicted, b.conflicted);
-    ASSERT_EQ(rejected_grouped.size(), rejected_per_claim.size());
-    for (size_t i = 0; i < rejected_grouped.size(); ++i) {
-      ASSERT_EQ(rejected_grouped[i].machine, rejected_per_claim[i].machine);
-      ASSERT_EQ(rejected_grouped[i].seqnum_at_placement,
-                rejected_per_claim[i].seqnum_at_placement);
-    }
-    for (MachineId m = 0; m < 16; ++m) {
-      ASSERT_EQ(grouped.machine(m).allocated, per_claim.machine(m).allocated);
-      ASSERT_EQ(grouped.machine(m).seqnum, per_claim.machine(m).seqnum);
-    }
-    ASSERT_EQ(grouped.TotalAllocated(), per_claim.TotalAllocated());
-    ASSERT_TRUE(grouped.CheckInvariants());
-  }
-}
-
-TEST(CellStateBatchTest, MixedResourceCommitFallsBackAndMatches) {
-  // Transactions with non-uniform per-claim resources (not a cohort) must
-  // take the per-claim path and still match the ungrouped reference.
-  CellState grouped(8, Resources{8.0, 32.0});
-  CellState per_claim(8, Resources{8.0, 32.0});
-  per_claim.SetBatchedCommit(false);
-  std::vector<TaskClaim> claims;
-  claims.push_back(TaskClaim{0, Resources{1.0, 2.0}, 0});
-  claims.push_back(TaskClaim{0, Resources{2.0, 1.0}, 0});
-  claims.push_back(TaskClaim{1, Resources{1.0, 2.0}, 0});
-  const CommitResult a =
-      grouped.Commit(claims, ConflictMode::kFineGrained, CommitMode::kIncremental);
-  const CommitResult b = per_claim.Commit(claims, ConflictMode::kFineGrained,
-                                          CommitMode::kIncremental);
-  EXPECT_EQ(a.accepted, 3);
-  EXPECT_EQ(b.accepted, 3);
-  for (MachineId m = 0; m < 8; ++m) {
-    EXPECT_EQ(grouped.machine(m).allocated, per_claim.machine(m).allocated);
-    EXPECT_EQ(grouped.machine(m).seqnum, per_claim.machine(m).seqnum);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Harness-level cohort lifecycle edge cases.
 // ---------------------------------------------------------------------------
@@ -458,11 +137,10 @@ class HarnessSim final : public ClusterSimulation {
   void SubmitJob(const JobPtr&) override {}
 };
 
-SimOptions TrackedOpts(bool cohorts) {
+SimOptions TrackedOpts() {
   SimOptions o;
   o.horizon = Duration::FromHours(2);
   o.track_running_tasks = true;
-  o.cohort_batching = cohorts;
   return o;
 }
 
@@ -477,7 +155,7 @@ Job UniformJob(uint32_t num_tasks, double secs = 600.0) {
 }
 
 TEST(CohortLifecycleTest, SingleTaskCohortRunsToCompletion) {
-  HarnessSim sim(TestCluster(8), TrackedOpts(true));
+  HarnessSim sim(TestCluster(8), TrackedOpts());
   const Job job = UniformJob(1);
   sim.cell().Allocate(3, job.task_resources);
   const std::vector<TaskClaim> claims{{3, job.task_resources, 0}};
@@ -492,7 +170,7 @@ TEST(CohortLifecycleTest, SingleTaskCohortRunsToCompletion) {
 }
 
 TEST(CohortLifecycleTest, CohortEndFreesAggregatedResourcesPerMachine) {
-  HarnessSim sim(TestCluster(8), TrackedOpts(true));
+  HarnessSim sim(TestCluster(8), TrackedOpts());
   const Job job = UniformJob(5);
   // Three tasks stacked on machine 1, two on machine 4.
   std::vector<TaskClaim> claims;
@@ -516,51 +194,47 @@ TEST(CohortLifecycleTest, CohortEndFreesAggregatedResourcesPerMachine) {
 TEST(CohortLifecycleTest, MemberKilledByFailureShrinksPendingFree) {
   // A machine failure kills two of five cohort members mid-flight; the
   // survivors' end event must free exactly the survivors' resources.
-  for (const bool cohorts : {true, false}) {
-    HarnessSim sim(TestCluster(8), TrackedOpts(cohorts));
-    const Job job = UniformJob(5);
-    std::vector<TaskClaim> claims;
-    for (const MachineId m : {2u, 2u, 5u, 5u, 5u}) {
-      sim.cell().Allocate(m, job.task_resources);
-      claims.push_back(TaskClaim{m, job.task_resources, 0});
-    }
-    sim.StartTasks(job, claims);
-    // Fail machine 2 halfway through the tasks' lifetime.
-    sim.sim().ScheduleAt(SimTime::Zero() + Duration::FromSeconds(300),
-                         [&sim] { sim.FailMachine(2); });
-    sim.sim().RunUntil(SimTime::Zero() + Duration::FromSeconds(601));
-    EXPECT_EQ(sim.TasksKilledByFailures(), 2);
-    EXPECT_EQ(sim.task_registry().NumRunning(), 0u);
-    // The failed machine holds only its downtime reservation; the survivor
-    // machine is fully freed.
-    EXPECT_EQ(sim.cell().machine(5).allocated, Resources::Zero());
-    EXPECT_TRUE(sim.cell().CheckInvariants());
+  HarnessSim sim(TestCluster(8), TrackedOpts());
+  const Job job = UniformJob(5);
+  std::vector<TaskClaim> claims;
+  for (const MachineId m : {2u, 2u, 5u, 5u, 5u}) {
+    sim.cell().Allocate(m, job.task_resources);
+    claims.push_back(TaskClaim{m, job.task_resources, 0});
   }
+  sim.StartTasks(job, claims);
+  // Fail machine 2 halfway through the tasks' lifetime.
+  sim.sim().ScheduleAt(SimTime::Zero() + Duration::FromSeconds(300),
+                       [&sim] { sim.FailMachine(2); });
+  sim.sim().RunUntil(SimTime::Zero() + Duration::FromSeconds(601));
+  EXPECT_EQ(sim.TasksKilledByFailures(), 2);
+  EXPECT_EQ(sim.task_registry().NumRunning(), 0u);
+  // The failed machine holds only its downtime reservation; the survivor
+  // machine is fully freed.
+  EXPECT_EQ(sim.cell().machine(5).allocated, Resources::Zero());
+  EXPECT_TRUE(sim.cell().CheckInvariants());
 }
 
 TEST(CohortLifecycleTest, FullyEvictedCohortCancelsItsEndEvent) {
-  for (const bool cohorts : {true, false}) {
-    HarnessSim sim(TestCluster(8), TrackedOpts(cohorts));
-    const Job job = UniformJob(3);
-    std::vector<TaskClaim> claims;
-    for (const MachineId m : {6u, 6u, 6u}) {
-      sim.cell().Allocate(m, job.task_resources);
-      claims.push_back(TaskClaim{m, job.task_resources, 0});
-    }
-    sim.StartTasks(job, claims);
-    sim.sim().ScheduleAt(SimTime::Zero() + Duration::FromSeconds(100),
-                         [&sim] { sim.FailMachine(6); });
-    // Run well past the cohort's end time: the cancelled end event must not
-    // double-free (Free would CHECK-fail on negative allocation).
-    sim.sim().RunUntil(SimTime::Zero() + Duration::FromSeconds(2000));
-    EXPECT_EQ(sim.TasksKilledByFailures(), 3);
-    EXPECT_EQ(sim.task_registry().NumRunning(), 0u);
-    EXPECT_TRUE(sim.cell().CheckInvariants());
+  HarnessSim sim(TestCluster(8), TrackedOpts());
+  const Job job = UniformJob(3);
+  std::vector<TaskClaim> claims;
+  for (const MachineId m : {6u, 6u, 6u}) {
+    sim.cell().Allocate(m, job.task_resources);
+    claims.push_back(TaskClaim{m, job.task_resources, 0});
   }
+  sim.StartTasks(job, claims);
+  sim.sim().ScheduleAt(SimTime::Zero() + Duration::FromSeconds(100),
+                       [&sim] { sim.FailMachine(6); });
+  // Run well past the cohort's end time: the cancelled end event must not
+  // double-free (Free would CHECK-fail on negative allocation).
+  sim.sim().RunUntil(SimTime::Zero() + Duration::FromSeconds(2000));
+  EXPECT_EQ(sim.TasksKilledByFailures(), 3);
+  EXPECT_EQ(sim.task_registry().NumRunning(), 0u);
+  EXPECT_TRUE(sim.cell().CheckInvariants());
 }
 
 TEST(CohortLifecycleTest, OnTaskEndRunsPerMemberInClaimOrder) {
-  HarnessSim sim(TestCluster(8), TrackedOpts(true));
+  HarnessSim sim(TestCluster(8), TrackedOpts());
   const Job job = UniformJob(4);
   std::vector<TaskClaim> claims;
   for (const MachineId m : {7u, 0u, 7u, 3u}) {

@@ -1,18 +1,20 @@
 // Intra-trial parallelism differential tests (DESIGN.md §12).
 //
 // SimOptions::intra_trial_threads shards the placement scans and the Commit
-// conflict pre-check across a worker pool. The hard design constraint is the
-// same as the SoA core's (soa_diff_test.cc): at any thread count, every
-// simulation must produce exactly the same cell state, metrics, and trace
-// event stream as the sequential run — parallelism is a pure wall-clock
-// optimization with zero observable effect. The tests here run every
-// architecture at 1, 2, and 8 threads and compare fingerprints bitwise, and
-// re-run a small fig5 grid at 1 and 2 threads.
+// conflict pre-check across a worker pool. The hard design constraint: at
+// any thread count, every simulation must produce exactly the same cell
+// state, metrics, and trace event stream as the sequential run —
+// parallelism is a pure wall-clock optimization with zero observable
+// effect. The tests here run every architecture at 1, 2, and 8 threads and
+// compare fingerprints bitwise, and re-run a small fig5 grid at 1 and 2
+// threads.
 #include <gtest/gtest.h>
 
 #include "tests/bitwise_eq.h"
+#include "tests/sim_fingerprint.h"
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/fig56_sweep.h"
@@ -30,66 +32,6 @@
 namespace omega {
 namespace {
 
-struct SimFingerprint {
-  std::vector<uint64_t> seqnums;
-  std::vector<double> allocated;  // cpus, mem per machine, exact
-  double total_cpus = 0.0;
-  double total_mem = 0.0;
-  int64_t submitted = 0;
-  int64_t preempted = 0;
-  int64_t failures = 0;
-  int64_t killed = 0;
-  std::vector<TraceEvent> events;
-  std::vector<int64_t> event_counts;
-};
-
-SimFingerprint Fingerprint(const ClusterSimulation& sim,
-                           const TraceRecorder& trace) {
-  SimFingerprint fp;
-  const CellState& cell = sim.cell();
-  for (MachineId m = 0; m < cell.NumMachines(); ++m) {
-    fp.seqnums.push_back(cell.machine(m).seqnum);
-    fp.allocated.push_back(cell.machine(m).allocated.cpus);
-    fp.allocated.push_back(cell.machine(m).allocated.mem_gb);
-  }
-  fp.total_cpus = cell.TotalAllocated().cpus;
-  fp.total_mem = cell.TotalAllocated().mem_gb;
-  fp.submitted = sim.JobsSubmittedTotal();
-  fp.preempted = sim.TasksPreempted();
-  fp.failures = sim.MachineFailures();
-  fp.killed = sim.TasksKilledByFailures();
-  trace.ForEachRetained(
-      [&fp](const TraceEvent& e) { fp.events.push_back(e); });
-  for (size_t t = 0; t < kNumTraceEventTypes; ++t) {
-    fp.event_counts.push_back(trace.CountOf(static_cast<TraceEventType>(t)));
-    fp.event_counts.push_back(trace.SumArg0(static_cast<TraceEventType>(t)));
-  }
-  return fp;
-}
-
-void ExpectIdentical(const SimFingerprint& par, const SimFingerprint& seq,
-                     uint32_t threads) {
-  EXPECT_EQ(par.seqnums, seq.seqnums) << "threads=" << threads;
-  EXPECT_EQ(par.allocated, seq.allocated) << "threads=" << threads;
-  EXPECT_EQ(par.total_cpus, seq.total_cpus) << "threads=" << threads;
-  EXPECT_EQ(par.total_mem, seq.total_mem) << "threads=" << threads;
-  EXPECT_EQ(par.submitted, seq.submitted) << "threads=" << threads;
-  EXPECT_EQ(par.preempted, seq.preempted) << "threads=" << threads;
-  EXPECT_EQ(par.failures, seq.failures) << "threads=" << threads;
-  EXPECT_EQ(par.killed, seq.killed) << "threads=" << threads;
-  EXPECT_EQ(par.event_counts, seq.event_counts) << "threads=" << threads;
-  ASSERT_EQ(par.events.size(), seq.events.size()) << "threads=" << threads;
-  for (size_t i = 0; i < par.events.size(); ++i) {
-    const TraceEvent& a = par.events[i];
-    const TraceEvent& b = seq.events[i];
-    ASSERT_TRUE(a.time_us == b.time_us && a.type == b.type &&
-                a.track == b.track && a.job == b.job &&
-                a.machine == b.machine && a.seqnum == b.seqnum &&
-                a.arg0 == b.arg0 && a.arg1 == b.arg1)
-        << "threads=" << threads << ": trace streams diverge at event " << i;
-  }
-}
-
 // Runs `make_and_run(options, trace)` at 1 thread (the reference), then at 2
 // and 8, and asserts bitwise-identical outcomes at every thread count.
 template <typename MakeAndRun>
@@ -101,7 +43,7 @@ void DiffThreadCounts(SimOptions options, MakeAndRun&& make_and_run) {
     options.intra_trial_threads = threads;
     TraceRecorder trace_par;
     const SimFingerprint par = make_and_run(options, trace_par);
-    ExpectIdentical(par, seq, threads);
+    ExpectIdentical(par, seq, "threads=" + std::to_string(threads));
   }
 }
 
@@ -182,9 +124,10 @@ TEST(IntraTrialDiffTest, MapReduceBitIdentical) {
 }
 
 TEST(IntraTrialDiffTest, HifiReplayBitIdentical) {
-  // The high-fidelity path exercises the ScoringPlacer: the sharded
-  // candidate-sampling ArgBest and (on the non-index fallback) the sharded
-  // first-fit scan must reproduce the sequential scores and tie-breaks.
+  // The high-fidelity ScoringPlacer walks the availability index
+  // sequentially, so the pool only reaches the Commit pre-check here: its
+  // verdicts must match the sequential ones under the headroom policy and
+  // with the index's per-claim commit path.
   const ClusterConfig cfg = TestCluster(256);
   const std::vector<Job> trace_jobs =
       GenerateHifiTrace(cfg, Duration::FromHours(2), 6);

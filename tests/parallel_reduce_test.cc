@@ -1,6 +1,6 @@
 // Unit tests for the intra-trial parallelism primitives (DESIGN.md §12):
 // WorkerPool dispatch, ParallelForRanges chunking, the deterministic
-// FirstMatch / ArgBest reductions, the no-refresh SoA scan, the parallel
+// FirstMatch reduction, the no-refresh SoA scan, the parallel
 // Commit pre-check, and the EpochFlagSet scratch. The reductions' contract —
 // bit-identical to the sequential scan for every shard layout and thread
 // count — is exercised directly here; the architecture-level differential
@@ -17,7 +17,6 @@
 #include "src/common/parallel_for.h"
 #include "src/common/random.h"
 #include "src/common/worker_pool.h"
-#include "src/hifi/scoring_placer.h"
 #include "src/mesos/mesos_simulation.h"
 #include "src/scheduler/placement.h"
 #include "src/workload/cluster_config.h"
@@ -215,108 +214,6 @@ TEST(FirstMatchTest, EmptyRangeIsNotFound) {
   const std::vector<char> empty;
   EXPECT_EQ(reducer.FirstMatch(&pool, 0, 64, FlagScan(empty)),
             kReduceNotFound);
-}
-
-// ---------------------------------------------------------------------------
-// DeterministicReducer::ArgBest
-// ---------------------------------------------------------------------------
-
-// Sequential reference: the placer update rule — strictly greater score wins,
-// earliest index wins ties; indices with eligible[i] == 0 never win.
-DeterministicReducer::Best SequentialArgBest(const std::vector<double>& scores,
-                                             const std::vector<char>& eligible) {
-  DeterministicReducer::Best best;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    if (!eligible[i]) {
-      continue;
-    }
-    if (best.index == kReduceNotFound || scores[i] > best.score) {
-      best.index = i;
-      best.score = scores[i];
-    }
-  }
-  return best;
-}
-
-DeterministicReducer::BestFn ScoreScan(const std::vector<double>& scores,
-                                       const std::vector<char>& eligible) {
-  return [&scores, &eligible](size_t begin, size_t end) {
-    DeterministicReducer::Best local;
-    for (size_t i = begin; i < end; ++i) {
-      if (!eligible[i]) {
-        continue;
-      }
-      if (local.index == kReduceNotFound || scores[i] > local.score) {
-        local.index = i;
-        local.score = scores[i];
-      }
-    }
-    return local;
-  };
-}
-
-TEST(ArgBestTest, TieResolvesToLowestIndexAcrossShardLayouts) {
-  // The maximum appears in three different shards; the earliest occurrence
-  // must win for every grain, exactly as the sequential scan resolves it.
-  const size_t n = 300;
-  std::vector<double> scores(n, 0.5);
-  std::vector<char> eligible(n, 1);
-  scores[77] = scores[150] = scores[299] = 2.25;
-  DeterministicReducer reducer;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    WorkerPool pool(threads);
-    for (size_t grain : {size_t{1}, size_t{7}, size_t{64}, n}) {
-      const auto best =
-          reducer.ArgBest(&pool, n, grain, ScoreScan(scores, eligible));
-      EXPECT_EQ(best.index, 77u) << "threads=" << threads << " grain=" << grain;
-      EXPECT_EQ(best.score, 2.25);
-    }
-  }
-}
-
-TEST(ArgBestTest, EmptyAndIneligibleShardsAreSkipped) {
-  const size_t n = 200;
-  std::vector<double> scores(n, 1.0);
-  std::vector<char> eligible(n, 0);
-  DeterministicReducer reducer;
-  WorkerPool pool(4);
-  // Nothing eligible anywhere.
-  EXPECT_EQ(reducer.ArgBest(&pool, n, 16, ScoreScan(scores, eligible)).index,
-            kReduceNotFound);
-  EXPECT_EQ(reducer.ArgBest(&pool, 0, 16, ScoreScan(scores, eligible)).index,
-            kReduceNotFound);
-  // One eligible index in a late shard; every earlier shard reports
-  // not-found and must not poison the merge.
-  eligible[187] = 1;
-  scores[187] = -3.5;  // negative scores are legal for the reducer itself
-  const auto best = reducer.ArgBest(&pool, n, 16, ScoreScan(scores, eligible));
-  EXPECT_EQ(best.index, 187u);
-  EXPECT_EQ(best.score, -3.5);
-}
-
-TEST(ArgBestTest, FuzzMatchesSequentialReference) {
-  Rng rng(0xC0FFEE);
-  DeterministicReducer reducer;
-  WorkerPool pool(8);
-  for (int round = 0; round < 50; ++round) {
-    const size_t n = 1 + rng.NextBounded(500);
-    std::vector<double> scores(n);
-    std::vector<char> eligible(n);
-    for (size_t i = 0; i < n; ++i) {
-      // Coarse quantization makes ties frequent.
-      scores[i] = static_cast<double>(rng.NextBounded(8)) * 0.125;
-      eligible[i] = rng.NextBounded(4) != 0 ? 1 : 0;
-    }
-    const auto want = SequentialArgBest(scores, eligible);
-    const size_t grain = 1 + rng.NextBounded(n);
-    const auto got =
-        reducer.ArgBest(&pool, n, grain, ScoreScan(scores, eligible));
-    ASSERT_EQ(got.index, want.index) << "round " << round << " n=" << n
-                                     << " grain=" << grain;
-    if (want.index != kReduceNotFound) {
-      ASSERT_EQ(got.score, want.score) << "round " << round;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -563,78 +460,6 @@ TEST(PlacerParallelDifferentialTest, ConstraintSweepBitIdentical) {
     for (size_t i = 0; i < seq_claims.size(); ++i) {
       EXPECT_EQ(seq_claims[i].machine, par_claims[i].machine) << "claim " << i;
       EXPECT_EQ(par_claims[i].machine % 97, 13u) << "claim " << i;
-    }
-    EXPECT_EQ(seq_rng.Next(), par_rng.Next());
-  }
-}
-
-TEST(PlacerParallelDifferentialTest, ScoringPlacerSamplingAndScanBitIdentical) {
-  for (uint32_t threads : {2u, 8u}) {
-    const uint32_t n = 512;
-    CellState seq_cell(n, Resources{16.0, 64.0});
-    CellState par_cell(n, Resources{16.0, 64.0});
-    par_cell.SetIntraTrialParallelism(threads);
-    for (MachineId m = 0; m < n; ++m) {
-      // Coarse utilization classes make score ties frequent, so the
-      // tie-break (earliest sample position) is genuinely exercised.
-      const double u = static_cast<double>(m % 7);
-      const Resources load{u * 2.0, u * 8.0};
-      seq_cell.Allocate(m, load);
-      par_cell.Allocate(m, load);
-    }
-    ScoringPlacerOptions opts;
-    opts.candidate_sample = 32;
-    ScoringPlacer seq_placer(opts);
-    ScoringPlacer par_placer(opts);
-    Job job;
-    job.task_resources = Resources{2.0, 8.0};
-    job.num_tasks = 8;
-    Rng seq_rng(11);
-    Rng par_rng(11);
-    std::vector<TaskClaim> seq_claims;
-    std::vector<TaskClaim> par_claims;
-    const uint32_t seq_placed =
-        seq_placer.PlaceTasks(seq_cell, job, 8, seq_rng, &seq_claims);
-    const uint32_t par_placed =
-        par_placer.PlaceTasks(par_cell, job, 8, par_rng, &par_claims);
-    EXPECT_EQ(seq_placed, par_placed);
-    EXPECT_GT(par_placed, 0u);
-    ASSERT_EQ(seq_claims.size(), par_claims.size());
-    for (size_t i = 0; i < seq_claims.size(); ++i) {
-      EXPECT_EQ(seq_claims[i].machine, par_claims[i].machine) << "claim " << i;
-    }
-    EXPECT_EQ(seq_rng.Next(), par_rng.Next());
-  }
-}
-
-TEST(PlacerParallelDifferentialTest, ScoringPlacerFullScanFallbackBitIdentical) {
-  // All machines full except two holes a 4-candidate sample is unlikely to
-  // draw: the full-scan fallback (FirstMatch over the SoA sweep) runs and
-  // must pick the same machine — and burn the same single RNG draw for the
-  // start offset — as the sequential reference.
-  for (uint32_t threads : {2u, 8u}) {
-    CellState seq_cell = MakeNearFullCell(1);
-    CellState par_cell = MakeNearFullCell(threads);
-    ScoringPlacerOptions opts;
-    opts.candidate_sample = 4;
-    ScoringPlacer seq_placer(opts);
-    ScoringPlacer par_placer(opts);
-    Job job;
-    job.task_resources = Resources{2.0, 8.0};
-    job.num_tasks = 4;
-    Rng seq_rng(13);
-    Rng par_rng(13);
-    std::vector<TaskClaim> seq_claims;
-    std::vector<TaskClaim> par_claims;
-    const uint32_t seq_placed =
-        seq_placer.PlaceTasks(seq_cell, job, 4, seq_rng, &seq_claims);
-    const uint32_t par_placed =
-        par_placer.PlaceTasks(par_cell, job, 4, par_rng, &par_claims);
-    EXPECT_EQ(seq_placed, par_placed);
-    EXPECT_GT(par_placed, 0u);
-    ASSERT_EQ(seq_claims.size(), par_claims.size());
-    for (size_t i = 0; i < seq_claims.size(); ++i) {
-      EXPECT_EQ(seq_claims[i].machine, par_claims[i].machine) << "claim " << i;
     }
     EXPECT_EQ(seq_rng.Next(), par_rng.Next());
   }

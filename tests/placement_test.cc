@@ -5,6 +5,7 @@
 #include <set>
 
 #include "src/hifi/scoring_placer.h"
+#include "tests/reference_cell.h"
 
 namespace omega {
 namespace {
@@ -182,98 +183,95 @@ TEST(ScoringPlacerTest, SpreadsAcrossFailureDomains) {
   EXPECT_EQ(domains.size(), 4u);
 }
 
-TEST(ScoringPlacerTest, WorksWithoutIndex) {
+TEST(ScoringPlacerDeathTest, CellWithoutIndexAborts) {
+  // Placement walks the availability index; a cell without one is a wiring
+  // error, not a slow path.
   CellState cell(8, kMachine);
   ScoringPlacer placer;
   Rng rng(10);
   const Job job = MakeJob(4, Resources{1.0, 1.0});
   std::vector<TaskClaim> claims;
-  EXPECT_EQ(placer.PlaceTasks(cell, job, 4, rng, &claims), 4u);
+  EXPECT_DEATH(placer.PlaceTasks(cell, job, 4, rng, &claims),
+               "availability index");
 }
 
 // --- block-summary pruning regression ---
 
-// Seed-behavior reference: randomized first fit exactly as shipped before the
-// block-summary pruning (random probes, then an unpruned linear scan from a
-// random offset). Consumes the RNG identically, so the pruned implementation
-// must return bit-identical claims.
-uint32_t ReferenceFirstFit(const CellState& cell, const Job& job,
-                           uint32_t count, Rng& rng,
-                           std::vector<TaskClaim>* claims,
-                           uint32_t max_random_probes = 32) {
-  const uint32_t num_machines = cell.NumMachines();
-  PendingClaims pending;
-  uint32_t placed = 0;
-  for (uint32_t t = 0; t < count; ++t) {
-    MachineId chosen = kInvalidMachineId;
-    for (uint32_t probe = 0; probe < max_random_probes; ++probe) {
-      const auto m = static_cast<MachineId>(rng.NextBounded(num_machines));
-      if (cell.CanFitWithPending(m, job.task_resources, pending.On(m))) {
-        chosen = m;
-        break;
-      }
-    }
-    if (chosen == kInvalidMachineId) {
-      const auto start = static_cast<uint32_t>(rng.NextBounded(num_machines));
-      for (uint32_t i = 0; i < num_machines; ++i) {
-        const MachineId m = (start + i) % num_machines;
-        if (cell.CanFitWithPending(m, job.task_resources, pending.On(m))) {
-          chosen = m;
-          break;
-        }
-      }
-    }
-    if (chosen == kInvalidMachineId) {
-      break;
-    }
-    claims->push_back(TaskClaim{chosen, job.task_resources,
-                                cell.machine(chosen).seqnum});
-    pending.Add(chosen, job.task_resources);
-    ++placed;
-  }
-  return placed;
-}
-
 // Differential test across utilization levels, including the near-full regime
 // where pruning actually fires: placements must be bit-identical to the
-// unpruned seed algorithm for the same RNG stream.
+// unpruned reference algorithm (tests/reference_cell.h) for the same RNG
+// stream, with and without constraints, with several tasks per call (so
+// pending claims stack), over the whole cell and over a partition, and with
+// the constrained sweep sharded over an intra-trial pool.
 TEST(BlockPruningTest, PlacementsMatchUnprunedReferenceAcrossFills) {
   // > 3 blocks so whole-block skips happen; odd size so the last block is
   // partial.
   constexpr uint32_t kMachines = 3 * 64 + 17;
-  for (const double fill_fraction : {0.0, 0.5, 0.9, 0.97, 1.0}) {
-    CellState cell(kMachines, kMachine);
-    CellState reference_cell(kMachines, kMachine);
-    Rng fill(1234);
-    const auto target =
-        static_cast<uint32_t>(fill_fraction * kMachines * 4.0);  // cpus
-    uint32_t filled = 0;
-    for (uint32_t attempt = 0; filled < target && attempt < kMachines * 64;
-         ++attempt) {
-      const auto m = static_cast<MachineId>(fill.NextBounded(kMachines));
-      if (cell.CanFit(m, Resources{1.0, 4.0})) {
-        cell.Allocate(m, Resources{1.0, 4.0});
-        reference_cell.Allocate(m, Resources{1.0, 4.0});
-        ++filled;
+  Rng setup(77);
+  for (const uint32_t threads : {1u, 2u}) {
+    for (const double fill_fraction : {0.0, 0.5, 0.9, 0.97, 1.0}) {
+      CellState cell(kMachines, kMachine);
+      cell.SetIntraTrialParallelism(threads);
+      for (MachineId m = 0; m < kMachines; ++m) {
+        // Two attribute keys with a few values each, so constraints rule out
+        // a varying share of the cell.
+        cell.mutable_machine(m).attributes = {
+            static_cast<int32_t>(setup.NextBounded(3)),
+            static_cast<int32_t>(setup.NextBounded(5))};
       }
-    }
-    const Job job = MakeJob(8, Resources{0.5, 2.0});
-    for (uint64_t seed = 1; seed <= 20; ++seed) {
-      RandomizedFirstFitPlacer placer(/*max_random_probes=*/8);
-      Rng rng_a(seed);
-      Rng rng_b(seed);
-      std::vector<TaskClaim> pruned, unpruned;
-      const uint32_t na =
-          placer.PlaceTasks(cell, job, 8, rng_a, &pruned);
-      const uint32_t nb = ReferenceFirstFit(reference_cell, job, 8, rng_b,
-                                            &unpruned, /*max_random_probes=*/8);
-      ASSERT_EQ(na, nb) << "fill " << fill_fraction << " seed " << seed;
-      ASSERT_EQ(pruned.size(), unpruned.size());
-      for (size_t i = 0; i < pruned.size(); ++i) {
-        EXPECT_EQ(pruned[i].machine, unpruned[i].machine)
-            << "fill " << fill_fraction << " seed " << seed << " task " << i;
-        EXPECT_EQ(pruned[i].seqnum_at_placement,
-                  unpruned[i].seqnum_at_placement);
+      const auto target =
+          static_cast<uint32_t>(fill_fraction * kMachines * 4.0);  // cpus
+      uint32_t filled = 0;
+      for (uint32_t attempt = 0; filled < target && attempt < kMachines * 64;
+           ++attempt) {
+        const auto m = static_cast<MachineId>(setup.NextBounded(kMachines));
+        if (cell.CanFit(m, Resources{1.0, 4.0})) {
+          cell.Allocate(m, Resources{1.0, 4.0});
+          ++filled;
+        }
+      }
+      for (uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng pick(seed * 7919);
+        // Inexact binary fractions, as the workload model produces.
+        const Resources task{
+            0.1 + 0.1 * static_cast<double>(pick.NextBounded(9)),
+            0.3 + 0.7 * static_cast<double>(pick.NextBounded(6))};
+        Job job = MakeJob(static_cast<uint32_t>(1 + pick.NextBounded(12)),
+                          task);
+        const bool constrained = pick.NextBool(0.7);
+        if (constrained) {
+          job.constraints.push_back(PlacementConstraint{
+              0, static_cast<int32_t>(pick.NextBounded(3)), true});
+          if (pick.NextBool(0.5)) {
+            job.constraints.push_back(PlacementConstraint{
+                1, static_cast<int32_t>(pick.NextBounded(5)), false});
+          }
+        }
+        const auto probes = static_cast<uint32_t>(pick.NextBounded(9));
+        const MachineRange range =
+            pick.NextBool(0.3) ? MachineRange{30, 170} : MachineRange{};
+        RandomizedFirstFitPlacer placer(probes, constrained, range);
+        Rng rng_a(seed);
+        Rng rng_b(seed);
+        std::vector<TaskClaim> pruned;
+        std::vector<TaskClaim> unpruned;
+        const uint32_t na =
+            placer.PlaceTasks(cell, job, job.num_tasks, rng_a, &pruned);
+        const uint32_t nb =
+            ReferenceFirstFit(cell, job, job.num_tasks, rng_b, &unpruned,
+                              probes, constrained, range);
+        ASSERT_EQ(na, nb) << "threads " << threads << " fill "
+                          << fill_fraction << " seed " << seed;
+        ASSERT_EQ(pruned.size(), unpruned.size());
+        for (size_t i = 0; i < pruned.size(); ++i) {
+          EXPECT_EQ(pruned[i].machine, unpruned[i].machine)
+              << "threads " << threads << " fill " << fill_fraction
+              << " seed " << seed << " task " << i;
+          EXPECT_EQ(pruned[i].seqnum_at_placement,
+                    unpruned[i].seqnum_at_placement);
+        }
+        // Same draws consumed: the streams stay in lockstep.
+        EXPECT_EQ(rng_a.Next(), rng_b.Next()) << "seed " << seed;
       }
     }
   }

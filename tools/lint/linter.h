@@ -31,8 +31,8 @@
 // v2 flow-aware rules, built on the whole-project call-graph model
 // (tools/lint/model.h, DESIGN.md §14):
 //   det-shard-unsafe-write   a function transitively reachable from a
-//                            WorkerPool / DeterministicReducer::{FirstMatch,
-//                            ArgBest} / ParallelFor(Ranges) shard callback
+//                            WorkerPool / DeterministicReducer::FirstMatch
+//                            / ParallelFor(Ranges) shard callback
 //                            writes a member field, a global, or a
 //                            by-reference capture of a frame outside the
 //                            shard, except through an allowlisted per-shard
@@ -123,7 +123,7 @@ struct Config {
 
   // Call names whose lambda (or named-lambda) arguments run as shard
   // callbacks on worker threads.
-  std::vector<std::string> shard_api_names = {"FirstMatch", "ArgBest",
+  std::vector<std::string> shard_api_names = {"FirstMatch",
                                               "ParallelForRanges",
                                               "ParallelFor"};
   // Barrier primitives whose callbacks run concurrently but each own a
