@@ -1,11 +1,11 @@
 // Shared helpers for the figure/table reproduction benches.
 #pragma once
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "src/exp/env_knob.h"
 #include "src/exp/experiment.h"
 #include "src/exp/sweep.h"
 #include "src/scheduler/config.h"
@@ -41,40 +41,15 @@ inline std::vector<double> TjobSweep(int points = 7) {
 }
 
 // SimOptions::intra_trial_threads for bench trials: $OMEGA_INTRA_TRIAL_THREADS
-// (default 1 = sequential trials; 0 = hardware concurrency). Results are
+// (default 1 = sequential trials; 0 = hardware concurrency; at most
+// kMaxKnobThreads, parsed strictly by src/exp/env_knob.h). Results are
 // bit-identical at any value — CI re-runs the golden checks at 2 to prove it
 // — so the knob only trades trial wall-clock against sweep-level parallelism.
 // Benches that honor it record the value in BENCH provenance via
 // SweepReport::intra_trial_threads.
 inline uint32_t BenchIntraTrialThreads() {
-  if (const char* env = std::getenv("OMEGA_INTRA_TRIAL_THREADS");
-      env != nullptr && env[0] != '\0') {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env) {
-      return static_cast<uint32_t>(v);
-    }
-  }
-  return 1;
-}
-
-// FederationOptions::window_parallelism for federation bench trials:
-// $OMEGA_FED_WINDOW_THREADS (default 0 = shared master queue; >= 1 runs the
-// cells in conservative lock-step windows on that many threads, DESIGN.md
-// §15). Mirrors $OMEGA_INTRA_TRIAL_THREADS: results are bit-identical at any
-// value — CI re-runs the fig_federation smoke golden at 2 to prove it — so
-// the knob only trades wall-clock. Recorded in BENCH provenance via
-// SweepReport::fed_window_threads.
-inline uint32_t BenchFedWindowThreads() {
-  if (const char* env = std::getenv("OMEGA_FED_WINDOW_THREADS");
-      env != nullptr && env[0] != '\0') {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env) {
-      return static_cast<uint32_t>(v);
-    }
-  }
-  return 0;
+  return EnvKnob<uint32_t>("OMEGA_INTRA_TRIAL_THREADS", 0, kMaxKnobThreads)
+      .value_or(1);
 }
 
 // Writes the sweep's BENCH_<figure>.json and prints a one-line timing

@@ -20,10 +20,8 @@
 //
 // Smoke golden values are serialized as hex floats (%a), which round-trip
 // doubles exactly; the comparison is string equality, i.e. bitwise. CI
-// re-checks the golden at OMEGA_INTRA_TRIAL_THREADS=2 and again at
-// OMEGA_FED_WINDOW_THREADS=2: whether the fleet shares one master event
-// queue or runs its cells in conservative lock-step windows (DESIGN.md §15),
-// every row is bit-identical at any thread count.
+// re-checks the golden at OMEGA_INTRA_TRIAL_THREADS=2: every row is
+// bit-identical at any thread count.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -113,15 +111,9 @@ struct Row {
   int64_t scheduled = 0;
   int64_t lost = 0;
   int64_t spills = 0;
-  // Windowed-execution diagnostics (DESIGN.md §15): never in the golden
-  // lines — windows/width are properties of the execution engine and stall
-  // fraction is wall-clock — but aggregated into BENCH metrics.
-  int64_t windows = 0;
-  double mean_window_width_secs = 0.0;
-  double barrier_stall_fraction = 0.0;
 };
 
-FederationOptions MakeFedOptions(const RowConfig& cfg, uint32_t window_threads) {
+FederationOptions MakeFedOptions(const RowConfig& cfg) {
   FederationOptions fed;
   fed.num_cells = cfg.cells;
   fed.routing = cfg.routing;
@@ -132,12 +124,11 @@ FederationOptions MakeFedOptions(const RowConfig& cfg, uint32_t window_threads) 
                          : Duration::FromSeconds(cfg.gossip_delay_secs);
   // A tight watchdog so short horizons still exercise timeout spills.
   fed.pending_timeout = Duration::FromSeconds(60);
-  fed.window_parallelism = window_threads;
   return fed;
 }
 
 Row RunFederationRow(const RowConfig& cfg, Duration horizon, uint64_t seed,
-                     uint32_t intra_threads, uint32_t window_threads) {
+                     uint32_t intra_threads) {
   SimOptions opts;
   opts.horizon = horizon;
   opts.seed = seed;
@@ -178,12 +169,9 @@ Row RunFederationRow(const RowConfig& cfg, Duration horizon, uint64_t seed,
   }
   FederationSim fed(ClusterD(), opts, DefaultSchedulerConfig("batch"),
                     DefaultSchedulerConfig("service"),
-                    MakeFedOptions(cfg, window_threads));
+                    MakeFedOptions(cfg));
   fed.Run();
   const FederationMetrics& m = fed.metrics();
-  row.windows = fed.WindowCount();
-  row.mean_window_width_secs = fed.MeanWindowWidthSecs();
-  row.barrier_stall_fraction = fed.BarrierStallFraction();
   row.conflict_fraction = fed.FleetConflictFraction();
   row.mean_cpu_util = fed.MeanCellCpuUtilization();
   row.cpu_util_skew = fed.CpuUtilizationSkew();
@@ -199,39 +187,16 @@ Row RunFederationRow(const RowConfig& cfg, Duration horizon, uint64_t seed,
 std::vector<Row> RunGrid(const RowConfig* grid, size_t grid_size,
                          Duration horizon, SweepRunner& runner) {
   const uint32_t intra_threads = BenchIntraTrialThreads();
-  const uint32_t window_threads = BenchFedWindowThreads();
   runner.report().intra_trial_threads = intra_threads;
-  runner.report().fed_window_threads = window_threads;
   runner.report().AddMetric("sim_days", horizon.ToDays());
   runner.report().AddMetric("intra_trial_threads",
                             static_cast<double>(intra_threads));
-  runner.report().AddMetric("fed_window_threads",
-                            static_cast<double>(window_threads));
   std::vector<Row> rows = runner.Run(grid_size, [&](const TrialContext& ctx) {
-    return RunFederationRow(grid[ctx.index], horizon, ctx.seed, intra_threads,
-                            window_threads);
+    return RunFederationRow(grid[ctx.index], horizon, ctx.seed, intra_threads);
   });
   for (size_t i = 0; i < grid_size; ++i) {
     runner.report().trial_labels.emplace_back(grid[i].label);
   }
-  // Windowed-execution accounting across the federation rows (zeros when the
-  // shared queue ran): how many barrier windows, how wide on average in
-  // simulated seconds, and what fraction of wall time the barriers cost.
-  int64_t windows_total = 0;
-  RunningStats width, stall;
-  for (const Row& r : rows) {
-    if (r.windows > 0) {
-      windows_total += r.windows;
-      width.Add(r.mean_window_width_secs);
-      stall.Add(r.barrier_stall_fraction);
-    }
-  }
-  runner.report().AddMetric("windows_total",
-                            static_cast<double>(windows_total));
-  runner.report().AddMetric("mean_window_width_secs",
-                            width.count() > 0 ? width.mean() : 0.0);
-  runner.report().AddMetric("barrier_stall_fraction_mean",
-                            stall.count() > 0 ? stall.mean() : 0.0);
   return rows;
 }
 

@@ -82,17 +82,6 @@ void WorkerPool::Run(size_t n, const std::function<void(size_t)>& fn) {
   }
 }
 
-void RunDisjoint(WorkerPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (pool == nullptr || pool->concurrency() == 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  pool->Run(n, fn);
-}
-
 void WorkerPool::WorkerLoop() {
   uint64_t seen = 0;
   for (;;) {

@@ -77,17 +77,4 @@ class WorkerPool {
   std::exception_ptr first_error_;  // guarded by mu_
 };
 
-// Runs fn(i) for i in [0, n) where each index advances a *disjoint* object
-// tree — no two indices may touch the same mutable state (the disjointness
-// contract is the caller's, exactly as with ShardSlots). Falls back to a
-// plain sequential loop — no pool handshake, no wakeup — when the pool is
-// absent, single-lane, or n <= 1, so per-window dispatch in the federation
-// barrier loop costs nothing when only one cell is runnable. This is the
-// sanctioned entry point for coarse-grained partitioned parallelism (the
-// windowed federation's per-cell event loops); omega_lint's
-// det-shard-unsafe-write rule treats RunDisjoint callbacks as owning their
-// index's object tree rather than sharing the enclosing frame.
-void RunDisjoint(WorkerPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn);
-
 }  // namespace omega

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 
 #include "src/common/logging.h"
+#include "src/exp/env_knob.h"
 
 namespace omega {
 
@@ -106,25 +106,15 @@ void PrintCdf(std::ostream& os, const Cdf& cdf, const std::string& label,
 }
 
 Duration BenchHorizon(double default_days) {
-  const char* env = std::getenv("OMEGA_BENCH_DAYS");
-  if (env != nullptr) {
-    const double days = std::atof(env);
-    if (days > 0.0) {
-      return Duration::FromDays(days);
-    }
-  }
-  return Duration::FromDays(default_days);
+  return Duration::FromDays(
+      EnvKnob<double>("OMEGA_BENCH_DAYS", kMinBenchDays, kMaxBenchDays)
+          .value_or(default_days));
 }
 
 size_t BenchThreads() {
-  const char* env = std::getenv("OMEGA_BENCH_THREADS");
-  if (env != nullptr) {
-    const long threads = std::atol(env);
-    if (threads > 0) {
-      return static_cast<size_t>(threads);
-    }
-  }
-  return 0;  // ParallelFor default: hardware concurrency
+  // 0 (and unset) is the ParallelFor default: hardware concurrency.
+  return EnvKnob<uint32_t>("OMEGA_BENCH_THREADS", 0, kMaxKnobThreads)
+      .value_or(0);
 }
 
 }  // namespace omega

@@ -42,11 +42,15 @@ void PrintCdf(std::ostream& os, const Cdf& cdf, const std::string& label,
 
 // Simulation horizon used by the figure benches. The paper simulates 7 days
 // (1 day for Mesos); full-length runs are expensive across sweeps, so benches
-// default to a shorter window and honor OMEGA_BENCH_DAYS to reproduce the
-// paper's exact durations.
+// default to a shorter window and honor OMEGA_BENCH_DAYS (a number of days in
+// [kMinBenchDays, kMaxBenchDays], parsed strictly, src/exp/env_knob.h) to
+// reproduce the paper's exact durations.
+inline constexpr double kMinBenchDays = 1e-6;
+inline constexpr double kMaxBenchDays = 365.0;
 Duration BenchHorizon(double default_days);
 
-// Number of worker threads for sweep parallelism (OMEGA_BENCH_THREADS).
+// Number of worker threads for sweep parallelism (OMEGA_BENCH_THREADS, in
+// [0, kMaxKnobThreads]; 0 or unset = hardware concurrency).
 size_t BenchThreads();
 
 }  // namespace omega

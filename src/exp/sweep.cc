@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 // Thread-count *reporting* only; all dispatch goes through ParallelForRanges.
 #include <thread>  // omega-lint: allow(det-parallel-reduce)
 
 #include "src/common/json.h"
+#include "src/exp/env_knob.h"
 #include "src/exp/experiment.h"
 
 namespace omega {
@@ -60,7 +63,6 @@ std::string SweepReport::ToJson() const {
   os << ",\n  \"base_seed\": " << base_seed;
   os << ",\n  \"threads\": " << threads;
   os << ",\n  \"intra_trial_threads\": " << intra_trial_threads;
-  os << ",\n  \"fed_window_threads\": " << fed_window_threads;
   os << ",\n  \"trials\": " << trials;
   os << ",\n  \"wall_seconds\": ";
   AppendNumber(os, wall_seconds);
@@ -135,12 +137,9 @@ SweepRunner::SweepRunner(std::string name, uint64_t base_seed,
       env != nullptr && env[0] != '\0') {
     report_.git_sha = env;
   }
-  if (const char* env = std::getenv("OMEGA_BENCH_SEED"); env != nullptr) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env) {
-      report_.base_seed = static_cast<uint64_t>(v);
-    }
+  if (const std::optional<uint64_t> seed = EnvKnob<uint64_t>(
+          "OMEGA_BENCH_SEED", 0, std::numeric_limits<uint64_t>::max())) {
+    report_.base_seed = *seed;
   }
 }
 

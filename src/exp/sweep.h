@@ -51,10 +51,6 @@ struct SweepReport {
   // sequential trials). Recorded so a scaling curve is reconstructable from
   // BENCH_*.json artifacts alone; results are bit-identical at any value.
   size_t intra_trial_threads = 1;
-  // FederationOptions::window_parallelism the federation benches ran with
-  // (0 = shared queue). Provenance like intra_trial_threads: a wall-clock
-  // knob, never a result axis — metrics are bit-identical at any value.
-  size_t fed_window_threads = 0;
   size_t trials = 0;
   double wall_seconds = 0.0;          // elapsed wall-clock for the whole sweep
   std::vector<double> trial_wall_seconds;  // per trial, trial-index order

@@ -1,7 +1,6 @@
 #include "src/federation/federation.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -14,26 +13,13 @@ namespace {
 // Same job-id mixer the Omega harness uses to shard batch work (§4.3).
 constexpr uint64_t kHashMult = 0x9e3779b97f4a7c15ULL;
 
-// Event-lane layout on the master queue (DESIGN.md §15): federation events
-// (arrivals, gossip, transfers, watchdogs) run on lane 0, cell i's events on
-// lane i + 1. At equal times the comparator runs lower lanes first, which is
-// exactly the order the windowed barrier discipline reproduces — master
-// events against paused cells, then each cell's stream.
+// Event-lane layout on the shared master queue (DESIGN.md §13): federation
+// events (arrivals, gossip, transfers, watchdogs) run on lane 0, cell i's
+// events on lane i + 1. At equal times the comparator runs lower lanes first:
+// master events before any cell's, then cells in index order.
+// FederationPinnedDigestTest fails if either half of that order changes.
 constexpr uint32_t kMasterLane = 0;
 constexpr uint32_t CellLane(uint32_t cell) { return cell + 1; }
-
-SimTime AddSaturating(SimTime t, Duration d) {
-  if (t == SimTime::Max() || d == Duration::Max()) {
-    return SimTime::Max();
-  }
-  return t + d;
-}
-
-double ElapsedSecs(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
-}
 
 // Disables a cell's own arrival streams: every job in a federation enters
 // through the front door.
@@ -67,7 +53,7 @@ double ConflictFraction(int64_t accepted, int64_t conflicted) {
 }  // namespace
 
 FederatedCell::FederatedCell(FederationSim& fed, uint32_t index,
-                             Simulator* master, const ClusterConfig& config,
+                             Simulator& master, const ClusterConfig& config,
                              const SimOptions& options,
                              const SchedulerConfig& batch_config,
                              const SchedulerConfig& service_config,
@@ -77,23 +63,15 @@ FederatedCell::FederatedCell(FederationSim& fed, uint32_t index,
       fed_(fed),
       index_(index) {
   // The base constructors schedule nothing, so the repoint is still legal.
-  UseSharedSimulator(master);
+  UseSharedSimulator(&master);
   SetTraceScope("cell" + std::to_string(index) + "/");
 }
 
 void FederatedCell::OnJobFullyScheduled(const JobPtr& job) {
-  if (defer_hooks_) {
-    outbox_.push_back({sim().Now(), /*scheduled=*/true, job});
-    return;
-  }
   fed_.OnCellJobScheduled(index_, job);
 }
 
 void FederatedCell::OnJobAbandoned(const JobPtr& job) {
-  if (defer_hooks_) {
-    outbox_.push_back({sim().Now(), /*scheduled=*/false, job});
-    return;
-  }
   fed_.OnCellJobAbandoned(index_, job);
 }
 
@@ -111,17 +89,10 @@ FederationSim::FederationSim(const ClusterConfig& cell_config,
       gossip_rng_(SubstreamSeed(options.seed, fed_options.num_cells + 2)) {
   OMEGA_CHECK(fed_options_.num_cells >= 1 && fed_options_.num_cells <= 64)
       << "tried-cell bookkeeping is a 64-bit mask";
-  windowed_ = fed_options_.window_parallelism >= 1 &&
-              !WindowedUnsupported(fed_options_);
-  if (windowed_ && fed_options_.window_parallelism > 1) {
-    window_pool_ = std::make_unique<WorkerPool>(
-        std::min<size_t>(fed_options_.window_parallelism,
-                         fed_options_.num_cells));
-  }
   cells_.reserve(fed_options_.num_cells);
   for (uint32_t i = 0; i < fed_options_.num_cells; ++i) {
     cells_.push_back(std::make_unique<FederatedCell>(
-        *this, i, windowed_ ? nullptr : &sim_, cell_config_,
+        *this, i, sim_, cell_config_,
         CellOptions(options_, options_.seed, i), batch_config, service_config,
         fed_options_.num_batch_schedulers_per_cell));
   }
@@ -130,44 +101,10 @@ FederationSim::FederationSim(const ClusterConfig& cell_config,
   metrics_.routed_per_cell.resize(fed_options_.num_cells, 0);
 }
 
-bool FederationSim::WindowedUnsupported(const FederationOptions& fed_options) {
-  if (fed_options.spillover != SpilloverPolicy::kNextBest) {
-    return false;
-  }
-  // A mid-window abandonment spills at its (deferred) cell-event time T: the
-  // re-route transfer lands at T + transfer_delay, which must be at or past
-  // the barrier. With a zero transfer delay it would have to be delivered
-  // into a cell that already advanced past T.
-  if (fed_options.transfer_delay == Duration::Zero()) {
-    return true;
-  }
-  // Spilling under live least-loaded routing reads every cell's live state at
-  // the deferred abandonment's mid-window time, but the cells have advanced
-  // to the barrier by then.
-  if (fed_options.routing == FederationRouting::kLeastLoaded &&
-      fed_options.gossip_interval == Duration::Zero()) {
-    return true;
-  }
-  return false;
-}
-
-double FederationSim::MeanWindowWidthSecs() const {
-  return windows_ > 0
-             ? window_width_sum_.ToSeconds() / static_cast<double>(windows_)
-             : 0.0;
-}
-
-double FederationSim::BarrierStallFraction() const {
-  return window_total_secs_ > 0.0
-             ? 1.0 - window_parallel_secs_ / window_total_secs_
-             : 0.0;
-}
-
 void FederationSim::Run() {
   // Cell-index order fixes the initial event sequence on the master queue.
-  // In shared mode each cell's events carry its lane, so same-time events
-  // from different streams order by (lane, insertion) — the order the
-  // windowed barriers reproduce.
+  // Each cell's events carry its lane, so same-time events from different
+  // streams order by (lane, insertion).
   for (auto& cell : cells_) {
     ScopedLane lane(sim_, CellLane(cell->index()));
     cell->PrepareRun();
@@ -179,44 +116,16 @@ void FederationSim::Run() {
       SchedulePublish(i);
     }
   }
-  if (windowed_) {
-    RunWindowed();
-  } else {
-    sim_.RunUntil(EndTime());
-  }
+  sim_.RunUntil(EndTime());
 }
 
 void FederationSim::SetTraceRecorder(TraceRecorder* recorder) {
-  if (!windowed_ || recorder == nullptr) {
-    for (auto& cell : cells_) {
-      cell->SetTraceRecorder(recorder);
-    }
-    return;
+  for (auto& cell : cells_) {
+    cell->SetTraceRecorder(recorder);
   }
-  // Windowed cells append from worker lanes, so each records privately (at
-  // the user recorder's capacity); MergeTraces() rebuilds the shared-queue
-  // stream into the user recorder after the run.
-  user_trace_ = recorder;
-  cell_traces_.clear();
-  master_ranges_.assign(num_cells(), {});
-  for (uint32_t i = 0; i < num_cells(); ++i) {
-    cell_traces_.push_back(
-        std::make_unique<TraceRecorder>(recorder->capacity()));
-    cells_[i]->SetTraceRecorder(cell_traces_[i].get());
-  }
-}
-
-void FederationSim::AddCellTouch(SimTime t) { cell_touch_times_.insert(t); }
-
-void FederationSim::EraseCellTouch(SimTime t) {
-  auto it = cell_touch_times_.find(t);
-  OMEGA_CHECK(it != cell_touch_times_.end());
-  cell_touch_times_.erase(it);
 }
 
 void FederationSim::ScheduleNextArrival(JobType type) {
-  const size_t stream = type == JobType::kBatch ? 0 : 1;
-  next_arrival_[stream] = SimTime::Max();
   const WorkloadParams& params =
       type == JobType::kBatch ? cell_config_.batch : cell_config_.service;
   const double multiplier =
@@ -234,20 +143,7 @@ void FederationSim::ScheduleNextArrival(JobType type) {
   if (when > EndTime()) {
     return;
   }
-  next_arrival_[stream] = when;
-  // Live least-loaded routing reads every cell's state at the arrival
-  // itself, so the arrival must run at a barrier. (Otherwise only the
-  // transfer it schedules touches a cell, bounded via next_arrival_.)
-  const bool live_touch =
-      windowed_ && fed_options_.routing == FederationRouting::kLeastLoaded &&
-      fed_options_.gossip_interval == Duration::Zero();
-  if (live_touch) {
-    AddCellTouch(when);
-  }
-  sim_.ScheduleAt(when, [this, type, live_touch, when] {
-    if (live_touch) {
-      EraseCellTouch(when);
-    }
+  sim_.ScheduleAt(when, [this, type] {
     auto job = std::make_shared<Job>(generator_.GenerateJob(type, sim_.Now()));
     RouteNewJob(job);
     ScheduleNextArrival(type);
@@ -280,13 +176,7 @@ void FederationSim::SchedulePublish(uint32_t cell) {
   if (next > EndTime()) {
     return;
   }
-  if (windowed_) {
-    AddCellTouch(next);  // the publication snapshots the cell's live state
-  }
-  sim_.ScheduleAt(next, [this, cell, next] {
-    if (windowed_) {
-      EraseCellTouch(next);
-    }
+  sim_.ScheduleAt(next, [this, cell] {
     PublishSummary(cell);
     SchedulePublish(cell);
   });
@@ -400,16 +290,10 @@ void FederationSim::SendToCell(PendingJob& pending) {
   // event (on that cell's lane); the transfer is a federation event and must
   // carry the master lane in every case.
   ScopedLane lane(sim_, kMasterLane);
-  const SimTime at = sim_.Now() + fed_options_.transfer_delay;
-  if (windowed_) {
-    AddCellTouch(at);  // the delivery injects into a paused cell
-  }
-  sim_.ScheduleAt(at, [this, id = pending.job->id, epoch = pending.epoch, at] {
-    if (windowed_) {
-      EraseCellTouch(at);
-    }
-    DeliverJob(id, epoch);
-  });
+  sim_.ScheduleAfter(fed_options_.transfer_delay,
+                     [this, id = pending.job->id, epoch = pending.epoch] {
+                       DeliverJob(id, epoch);
+                     });
 }
 
 void FederationSim::DeliverJob(JobId id, uint32_t epoch) {
@@ -424,14 +308,7 @@ void FederationSim::DeliverJob(JobId id, uint32_t epoch) {
   if (fed_options_.spillover != SpilloverPolicy::kNone &&
       fed_options_.pending_timeout > Duration::Zero() &&
       fed_options_.pending_timeout != Duration::Max()) {
-    const SimTime at = sim_.Now() + fed_options_.pending_timeout;
-    if (windowed_) {
-      AddCellTouch(at);  // the watchdog withdraws a job the cell holds
-    }
-    sim_.ScheduleAt(at, [this, id, epoch, at] {
-      if (windowed_) {
-        EraseCellTouch(at);
-      }
+    sim_.ScheduleAfter(fed_options_.pending_timeout, [this, id, epoch] {
       auto timed_out = pending_.find(id);
       if (timed_out == pending_.end() || timed_out->second.epoch != epoch) {
         return;  // scheduled, lost, or already spilled again
@@ -444,29 +321,9 @@ void FederationSim::DeliverJob(JobId id, uint32_t epoch) {
   // mid-call.
   const uint32_t cell_index = pending.cell;
   const JobPtr job = pending.job;
-  FederatedCell& cell = *cells_[cell_index];
-  if (!windowed_) {
-    // The injected job's scheduler events belong to the cell's stream.
-    ScopedLane lane(sim_, CellLane(cell_index));
-    cell.InjectJob(job);
-    return;
-  }
-  // Windowed: the delivery always lands exactly at a barrier (its time
-  // bounded the window), so the paused cell can jump to the master clock.
-  cell.sim().AdvanceTo(sim_.Now());
-  TraceRecorder* cell_trace =
-      cell_traces_.empty() ? nullptr : cell_traces_[cell_index].get();
-  const int64_t before =
-      cell_trace != nullptr ? cell_trace->TotalRecorded() : 0;
-  cell.InjectJob(job);
-  if (cell_trace != nullptr) {
-    // Remember this master-context append range so the trace merge can put
-    // it on the master lane in master execution order.
-    const int64_t after = cell_trace->TotalRecorded();
-    if (after > before) {
-      master_ranges_[cell_index].push_back({before, after, master_order_++});
-    }
-  }
+  // The injected job's scheduler events belong to the cell's stream.
+  ScopedLane lane(sim_, CellLane(cell_index));
+  cells_[cell_index]->InjectJob(job);
 }
 
 void FederationSim::SpillOrLose(PendingJob& pending, bool from_timeout) {
@@ -540,219 +397,6 @@ void FederationSim::OnCellJobAbandoned(uint32_t cell, const JobPtr& job) {
     return;
   }
   SpillOrLose(it->second, /*from_timeout=*/false);
-}
-
-void FederationSim::RunWindowed() {
-  const SimTime end = EndTime();
-  const auto loop_start = std::chrono::steady_clock::now();
-  const bool spill = fed_options_.spillover == SpilloverPolicy::kNextBest;
-  const bool live = fed_options_.routing == FederationRouting::kLeastLoaded &&
-                    fed_options_.gossip_interval == Duration::Zero();
-  while (true) {
-    // Lookahead: the window closes at the earliest master event that must
-    // run against paused cells. Non-live arrivals interact only through the
-    // transfers they schedule; with spillover, a deferred mid-window
-    // abandonment at cell-event time T re-routes at T + transfer_delay, and
-    // T is at least the cell's next pending event.
-    SimTime w = end;
-    if (!cell_touch_times_.empty()) {
-      w = std::min(w, *cell_touch_times_.begin());
-    }
-    if (!live) {
-      for (const SimTime t : next_arrival_) {
-        w = std::min(w, AddSaturating(t, fed_options_.transfer_delay));
-      }
-    }
-    if (spill) {
-      for (auto& cell : cells_) {
-        w = std::min(w, AddSaturating(cell->sim().NextEventTime(),
-                                      fed_options_.transfer_delay));
-      }
-    }
-    runnable_.clear();
-    for (uint32_t i = 0; i < num_cells(); ++i) {
-      cells_[i]->SetDeferHooks(true);
-      if (cells_[i]->sim().NextEventTime() < w) {
-        runnable_.push_back(i);
-      }
-    }
-    const auto parallel_start = std::chrono::steady_clock::now();
-    RunDisjoint(window_pool_.get(), runnable_.size(), [&](size_t k) {
-      cells_[runnable_[k]]->sim().RunUntilBefore(w);
-    });
-    window_parallel_secs_ += ElapsedSecs(parallel_start);
-    for (auto& cell : cells_) {
-      cell->SetDeferHooks(false);
-    }
-    ++windows_;
-    window_width_sum_ = window_width_sum_ + (w - sim_.Now());
-    // Barrier: replay the cells' deferred cross-cell messages at their
-    // mid-window times, then run every master event up to and including the
-    // bound — deliveries into paused cells, watchdogs, publications.
-    FlushOutboxes();
-    sim_.RunUntil(w);
-    if (w >= end) {
-      break;
-    }
-  }
-  // Final half-window. Master events at the horizon ran above, before any
-  // cell event at the horizon — the lane order. Now the cells run their
-  // events at exactly the horizon and their deferred hooks replay.
-  for (auto& cell : cells_) {
-    cell->SetDeferHooks(true);
-  }
-  runnable_.clear();
-  for (uint32_t i = 0; i < num_cells(); ++i) {
-    if (cells_[i]->sim().NextEventTime() <= end) {
-      runnable_.push_back(i);
-    }
-  }
-  const auto parallel_start = std::chrono::steady_clock::now();
-  RunDisjoint(window_pool_.get(), runnable_.size(), [&](size_t k) {
-    cells_[runnable_[k]]->sim().RunUntil(end);
-  });
-  window_parallel_secs_ += ElapsedSecs(parallel_start);
-  for (auto& cell : cells_) {
-    cell->SetDeferHooks(false);
-    // Idle cells never entered the parallel section; bring every clock to
-    // the horizon.
-    if (cell->sim().Now() < end) {
-      cell->sim().AdvanceTo(end);
-    }
-  }
-  FlushOutboxes();
-  sim_.RunUntil(end);
-  window_total_secs_ += ElapsedSecs(loop_start);
-  MergeTraces();
-}
-
-void FederationSim::FlushOutboxes() {
-  // Merge the per-cell outboxes in (time, cell, per-cell order) and replay
-  // each entry on the master queue under the producing cell's lane: the
-  // lane-ordered comparator then interleaves the replay with master events
-  // exactly as the shared queue interleaved the hook's enclosing cell event.
-  struct Ref {
-    SimTime time;
-    uint32_t cell;
-    size_t idx;
-  };
-  std::vector<Ref> refs;
-  for (uint32_t i = 0; i < num_cells(); ++i) {
-    const auto& box = cells_[i]->outbox();
-    for (size_t k = 0; k < box.size(); ++k) {
-      refs.push_back({box[k].time, i, k});
-    }
-  }
-  if (refs.empty()) {
-    return;
-  }
-  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.cell != b.cell) return a.cell < b.cell;
-    return a.idx < b.idx;
-  });
-  for (const Ref& r : refs) {
-    auto& entry = cells_[r.cell]->outbox()[r.idx];
-    ScopedLane lane(sim_, CellLane(r.cell));
-    sim_.ScheduleAt(entry.time, [this, cell = r.cell,
-                                 scheduled = entry.scheduled,
-                                 job = std::move(entry.job)] {
-      if (scheduled) {
-        OnCellJobScheduled(cell, job);
-      } else {
-        OnCellJobAbandoned(cell, job);
-      }
-    });
-  }
-  for (auto& cell : cells_) {
-    cell->outbox().clear();
-  }
-}
-
-void FederationSim::MergeTraces() {
-  if (user_trace_ == nullptr) {
-    return;
-  }
-  // Pre-resolve every (cell, private track) to a user-recorder track. Track
-  // *ids* may differ from a shared-queue run (both exporters print names,
-  // which is what the differentials compare); names are identical.
-  std::vector<std::vector<uint16_t>> track_remap(num_cells());
-  for (uint32_t i = 0; i < num_cells(); ++i) {
-    for (const std::string& name : cell_traces_[i]->track_names()) {
-      track_remap[i].push_back(user_trace_->RegisterTrack(name));
-    }
-  }
-  // Each retained event keyed by (time, lane, order): master-context ranges
-  // (barrier-time injections) go on lane 0 ordered by master execution
-  // order; everything else keeps its cell lane and per-cell append order.
-  // Sorting by that key *is* the shared-queue execution order, so appending
-  // in sorted order rebuilds the shared recorder's ring byte-for-byte.
-  struct MergeEv {
-    TraceEvent e;
-    uint32_t lane = 0;
-    uint64_t order_hi = 0;
-    uint64_t order_lo = 0;
-  };
-  std::vector<MergeEv> events;
-  std::array<int64_t, kNumTraceEventTypes> retained_counts{};
-  std::array<int64_t, kNumTraceEventTypes> retained_arg0{};
-  std::array<int64_t, kNumTraceEventTypes> retained_arg1{};
-  for (uint32_t i = 0; i < num_cells(); ++i) {
-    const TraceRecorder& rec = *cell_traces_[i];
-    const auto& ranges = master_ranges_[i];
-    int64_t idx = rec.TotalRecorded() - static_cast<int64_t>(rec.Retained());
-    size_t range_pos = 0;
-    rec.ForEachRetained([&](const TraceEvent& e) {
-      while (range_pos < ranges.size() && ranges[range_pos].end <= idx) {
-        ++range_pos;
-      }
-      MergeEv m;
-      m.e = e;
-      m.e.track = track_remap[i][e.track];
-      if (range_pos < ranges.size() && idx >= ranges[range_pos].begin) {
-        m.lane = kMasterLane;
-        m.order_hi = ranges[range_pos].order;
-      } else {
-        m.lane = CellLane(i);
-        m.order_hi = 0;
-      }
-      m.order_lo = static_cast<uint64_t>(idx);
-      events.push_back(m);
-      const auto t = static_cast<size_t>(e.type);
-      ++retained_counts[t];
-      retained_arg0[t] += e.arg0;
-      retained_arg1[t] += e.arg1;
-      ++idx;
-    });
-  }
-  std::sort(events.begin(), events.end(),
-            [](const MergeEv& a, const MergeEv& b) {
-              if (a.e.time_us != b.e.time_us) return a.e.time_us < b.e.time_us;
-              if (a.lane != b.lane) return a.lane < b.lane;
-              if (a.order_hi != b.order_hi) return a.order_hi < b.order_hi;
-              return a.order_lo < b.order_lo;
-            });
-  for (const MergeEv& m : events) {
-    user_trace_->AppendRaw(m.e);
-  }
-  // Events the private rings had already dropped exist only in the wrap-proof
-  // totals; fold those into the user recorder. Any event in the merged
-  // stream's last `capacity` is also within its cell's retained window, so
-  // the ring contents above are complete and only the counts need absorbing.
-  for (size_t t = 0; t < kNumTraceEventTypes; ++t) {
-    int64_t count = -retained_counts[t];
-    int64_t arg0 = -retained_arg0[t];
-    int64_t arg1 = -retained_arg1[t];
-    const auto type = static_cast<TraceEventType>(t);
-    for (uint32_t i = 0; i < num_cells(); ++i) {
-      count += cell_traces_[i]->CountOf(type);
-      arg0 += cell_traces_[i]->SumArg0(type);
-      arg1 += cell_traces_[i]->SumArg1(type);
-    }
-    if (count != 0 || arg0 != 0 || arg1 != 0) {
-      user_trace_->AbsorbCounts(type, count, arg0, arg1);
-    }
-  }
 }
 
 int64_t FederationSim::JobsSubmittedTotal() const {

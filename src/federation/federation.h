@@ -13,23 +13,10 @@
 // (ClusterSimulation::UseSharedSimulator), so the N-cell interleaving is a
 // single deterministic event order: results are bit-identical for any sweep
 // thread count and any intra_trial_threads value. See DESIGN.md §13.
-//
-// FederationOptions::window_parallelism switches to the conservative
-// time-window parallel mode (DESIGN.md §15): each cell keeps its own event
-// queue and all cells advance concurrently on a resident WorkerPool in
-// lock-step windows bounded by the earliest cross-cell interaction (gossip
-// publication, job transfer, watchdog firing, live-routing read). At each
-// barrier, the cells' deferred cross-cell messages are merged in
-// (time, cell-index, per-cell order) and replayed on the master queue, whose
-// lane-ordered comparator makes the replay reproduce the shared-queue
-// interleaving exactly — every counter, trace byte, and metric is bitwise
-// identical to the shared path at any window thread count.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -37,7 +24,6 @@
 #include "src/common/random.h"
 #include "src/common/sim_time.h"
 #include "src/common/stats.h"
-#include "src/common/worker_pool.h"
 #include "src/omega/omega_scheduler.h"
 #include "src/sim/simulator.h"
 #include "src/trace/trace_recorder.h"
@@ -97,15 +83,10 @@ struct FederationOptions {
 
   uint32_t num_batch_schedulers_per_cell = 1;
 
-  // 0 = shared-queue mode (every cell on one master event queue). >= 1 =
-  // conservative time-window parallel mode with that many threads (1 runs the
-  // windowed machinery sequentially — useful for differential testing).
-  // Results are bitwise identical between the two modes and across thread
-  // counts. Two configurations cannot honor the windowed discipline and fall
-  // back to the shared queue (reported via windowed_active()): spillover with
-  // a zero transfer delay, and spillover combined with live (gossip-free)
-  // least-loaded routing — both would need a mid-window cell interaction.
-  uint32_t window_parallelism = 0;
+  // Unsettable: every fleet runs on the one shared master queue. The name
+  // remains only because perfbench echoes it; the next benchmark change
+  // drops the echo and then this constant.
+  static constexpr uint32_t window_parallelism = 0;
 };
 
 // One cell's gossiped self-description. `published_at` is when the cell
@@ -155,8 +136,7 @@ class FederationSim;
 // reported back to the front door for spillover.
 class FederatedCell final : public OmegaSimulation {
  public:
-  // A null `master` keeps the cell's own event queue (windowed mode).
-  FederatedCell(FederationSim& fed, uint32_t index, Simulator* master,
+  FederatedCell(FederationSim& fed, uint32_t index, Simulator& master,
                 const ClusterConfig& config, const SimOptions& options,
                 const SchedulerConfig& batch_config,
                 const SchedulerConfig& service_config,
@@ -167,27 +147,9 @@ class FederatedCell final : public OmegaSimulation {
 
   uint32_t index() const { return index_; }
 
-  // One cross-cell message produced inside a window: a job reached a terminal
-  // per-cell state mid-window, and the front-door reaction is deferred to the
-  // next barrier so cells never touch federation state from worker threads.
-  struct DeferredHook {
-    SimTime time;
-    bool scheduled = false;  // true = fully scheduled, false = abandoned
-    JobPtr job;
-  };
-
-  // While deferring (set around each parallel window), the two hooks above
-  // append to the outbox instead of calling into the federation. The outbox
-  // is owned by this cell and only ever touched by the lane running it, or by
-  // the barrier code between windows.
-  void SetDeferHooks(bool defer) { defer_hooks_ = defer; }
-  std::vector<DeferredHook>& outbox() { return outbox_; }
-
  private:
   FederationSim& fed_;
   uint32_t index_;
-  bool defer_hooks_ = false;
-  std::vector<DeferredHook> outbox_;
 };
 
 // The federation harness: N cells, one master event queue, the front-door
@@ -222,25 +184,9 @@ class FederationSim {
   const FederationMetrics& metrics() const { return metrics_; }
   SimTime EndTime() const { return SimTime::Zero() + options_.horizon; }
 
-  // True when window_parallelism was requested AND the configuration supports
-  // the windowed discipline (see FederationOptions::window_parallelism).
-  bool windowed_active() const { return windowed_; }
-  // Configurations the windowed mode cannot honor (it falls back to the
-  // shared queue, which is bit-identical anyway).
-  static bool WindowedUnsupported(const FederationOptions& fed_options);
-
-  // --- windowed-mode accounting (zero when running the shared queue) ---
-
-  // Barriers executed (== lock-step windows, including the final horizon
-  // window).
-  int64_t WindowCount() const { return windows_; }
-  // Mean window width in simulated seconds.
-  double MeanWindowWidthSecs() const;
-  // 1 - (wall time inside the parallel cell sections / wall time of the whole
-  // windowed loop): the serial fraction spent at barriers, i.e. the speedup
-  // ceiling. Wall-clock derived, so it is observability only — never part of
-  // a golden or a fingerprint.
-  double BarrierStallFraction() const;
+  // Always 0 (there are no execution windows). Kept only because perfbench
+  // reports it as `federation.windows`; the next benchmark change drops it.
+  int64_t WindowCount() const { return 0; }
 
   // The summary the front door would compute from the cell's state right now
   // (what gossip snapshots at publication; what routing uses when
@@ -278,23 +224,6 @@ class FederationSim {
     SimTime first_submit;     // original front-door arrival
   };
 
-  // The windowed event loop: advance cells in parallel between barriers
-  // bounded by the earliest cross-cell interaction, replaying deferred
-  // cross-cell messages on the master queue at each barrier (DESIGN.md §15).
-  void RunWindowed();
-  // Schedules every cell's deferred hooks onto the master queue in
-  // (time, cell-index, per-cell order), each on the producing cell's lane so
-  // the replay interleaves with master events exactly as the shared queue
-  // would, then clears the outboxes.
-  void FlushOutboxes();
-  // Merges the per-cell trace streams into the user recorder in shared-queue
-  // event order (windowed mode records each cell privately).
-  void MergeTraces();
-  // Registers/erases a master event that must run against paused cells: the
-  // earliest such time bounds the next window.
-  void AddCellTouch(SimTime t);
-  void EraseCellTouch(SimTime t);
-
   void ScheduleNextArrival(JobType type);
   void RouteNewJob(const JobPtr& job);
   // Best untried cell per the routing policy. Sets *used_summary and
@@ -324,46 +253,13 @@ class FederationSim {
 
   std::vector<CellSummary> delivered_;
   // Per-cell (accepted, conflicted) totals at the previous publication, for
-  // the windowed conflict fraction.
+  // the conflict fraction since then.
   std::vector<std::pair<int64_t, int64_t>> published_counters_;
 
   FederationMetrics metrics_;
   // Lookup only — iteration order never observed (det-unordered-iter,
   // DESIGN.md §9).
   std::unordered_map<JobId, PendingJob> pending_;
-
-  // --- windowed mode (unused when windowed_ is false) ---
-
-  bool windowed_ = false;
-  std::unique_ptr<WorkerPool> window_pool_;  // null when window_parallelism<=1
-  // Times of pending master events that read or write cell state (transfers,
-  // watchdogs, gossip publications, live-routing arrivals); the minimum
-  // bounds the next window so every such event runs exactly at a barrier.
-  std::multiset<SimTime> cell_touch_times_;
-  // Next pending front-door arrival per job type (Max when the stream has
-  // stopped). In non-live routing an arrival only touches a cell through the
-  // transfer it schedules, so the window bound is arrival + transfer_delay.
-  std::array<SimTime, 2> next_arrival_{SimTime::Max(), SimTime::Max()};
-  std::vector<uint32_t> runnable_;  // scratch: cells with work this window
-
-  int64_t windows_ = 0;
-  Duration window_width_sum_ = Duration::Zero();
-  double window_parallel_secs_ = 0.0;
-  double window_total_secs_ = 0.0;
-
-  // Windowed tracing: each cell records privately; MergeTraces() rebuilds the
-  // shared-queue stream. Appends made from master context (barrier-time job
-  // injections) are remembered as [begin, end) index ranges tagged with a
-  // master-side order, so the merge can put them on the master lane.
-  TraceRecorder* user_trace_ = nullptr;
-  std::vector<std::unique_ptr<TraceRecorder>> cell_traces_;
-  struct MasterRange {
-    int64_t begin = 0;  // global append indices into the cell's stream
-    int64_t end = 0;
-    uint64_t order = 0;  // master execution order across all cells
-  };
-  std::vector<std::vector<MasterRange>> master_ranges_;
-  uint64_t master_order_ = 0;
 };
 
 }  // namespace omega

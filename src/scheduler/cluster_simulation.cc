@@ -156,9 +156,7 @@ void ClusterSimulation::PrepareRun() {
 }
 
 void ClusterSimulation::UseSharedSimulator(Simulator* sim) {
-  if (sim == nullptr) {
-    return;  // keep the owned per-cell simulator (windowed federation)
-  }
+  OMEGA_CHECK(sim != nullptr) << "UseSharedSimulator needs a simulator";
   OMEGA_CHECK(owned_sim_ == nullptr || owned_sim_->PendingEvents() == 0)
       << "UseSharedSimulator must be called before any event is scheduled";
   sim_ = sim;

@@ -62,14 +62,11 @@ class ClusterSimulation {
   void InjectJob(const JobPtr& job);
 
   // Redirects all event scheduling onto an external simulator (the federation
-  // layer's shared-queue mode runs N cells on one master event queue so
-  // gossip, transfers, and cell events interleave deterministically). Passing
-  // nullptr keeps the owned per-cell simulator — the windowed federation mode
-  // drives each cell's own queue between barriers and only the front-door /
-  // gossip / transfer events live on the master queue (DESIGN.md §15). Must
-  // be called before any event is scheduled, i.e. before
-  // Run()/PrepareRun()/RunTrace(). A non-null simulator is borrowed, not
-  // owned, and must outlive this simulation.
+  // layer runs N cells on one master event queue so gossip, transfers, and
+  // cell events interleave deterministically). Must be called before any
+  // event is scheduled, i.e. before Run()/PrepareRun()/RunTrace(). The
+  // simulator must be non-null; it is borrowed, not owned, and must outlive
+  // this simulation.
   void UseSharedSimulator(Simulator* sim);
 
   // --- per-job lifecycle hooks (called by the schedulers) ---

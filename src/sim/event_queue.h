@@ -2,13 +2,14 @@
 // in-place cancellation.
 //
 // Ties on the timestamp are broken by (lane, insertion order), which makes
-// simulation runs fully deterministic. Lanes exist for the windowed
-// federation mode (DESIGN.md §15): the shared-queue federation tags each
-// cell's events with a distinct lane so that same-microsecond events from
-// different logical streams order by stream, not by global push order — the
-// one total order a barrier-synchronized parallel execution can reproduce
-// exactly. Single-stream users never set a lane; all their events share lane
-// 0 and the order degenerates to the classic (time, insertion order).
+// simulation runs fully deterministic. Lanes are the federation's equal-time
+// order on its one shared queue (DESIGN.md §13): front-door events
+// (arrivals, gossip, transfers, watchdogs) run on lane 0 and cell i's events
+// on lane i + 1, so same-microsecond events from different logical streams
+// order master first, then by cell index, not by global push order.
+// federation_test's pinned digests fail if either half of that order
+// changes. Single-stream users never set a lane; all their events share
+// lane 0 and the order degenerates to the classic (time, insertion order).
 #pragma once
 
 #include <cstdint>

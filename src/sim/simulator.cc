@@ -14,14 +14,10 @@ EventId Simulator::ScheduleAfter(Duration delay, std::function<void()> fn) {
   return ScheduleAt(now_ + delay, std::move(fn));
 }
 
-int64_t Simulator::RunLoop(SimTime end, bool inclusive) {
+int64_t Simulator::RunUntil(SimTime end) {
   int64_t processed = 0;
   const uint32_t ambient = lane_;
-  while (!queue_.Empty()) {
-    const SimTime next = queue_.PeekTime();
-    if (inclusive ? next > end : next >= end) {
-      break;
-    }
+  while (!queue_.Empty() && queue_.PeekTime() <= end) {
     SimTime when;
     uint32_t lane;
     auto fn = queue_.Pop(&when, &lane);
@@ -31,21 +27,10 @@ int64_t Simulator::RunLoop(SimTime end, bool inclusive) {
     ++processed;
   }
   lane_ = ambient;
-  if (inclusive && now_ < end && end != SimTime::Max()) {
+  if (now_ < end && end != SimTime::Max()) {
     now_ = end;
   }
   return processed;
-}
-
-int64_t Simulator::RunUntil(SimTime end) { return RunLoop(end, true); }
-
-int64_t Simulator::RunUntilBefore(SimTime end) { return RunLoop(end, false); }
-
-void Simulator::AdvanceTo(SimTime t) {
-  OMEGA_CHECK(t >= now_) << "advancing into the past: " << t << " < " << now_;
-  OMEGA_CHECK(queue_.Empty() || queue_.PeekTime() >= t)
-      << "AdvanceTo would jump over a pending event";
-  now_ = t;
 }
 
 }  // namespace omega

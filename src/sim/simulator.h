@@ -36,7 +36,10 @@ class Simulator {
   // times, lower lanes fire first; within a lane, insertion order. While an
   // event callback runs, the ambient lane is that event's lane (so an event's
   // follow-ups inherit its stream), restored when RunUntil returns. Lane 0 is
-  // the default; single-stream users never call this.
+  // the default; single-stream users never call this. The federation's shared
+  // queue is the one multi-lane user: master events on lane 0 run before any
+  // cell's events at the same instant, and cells run in index order (lane
+  // i + 1); federation_test's pinned digests pin that order.
   void SetLane(uint32_t lane) { lane_ = lane; }
   uint32_t lane() const { return lane_; }
 
@@ -44,30 +47,12 @@ class Simulator {
   // exactly `end` are executed. Returns the number of events processed.
   int64_t RunUntil(SimTime end);
 
-  // Runs events strictly before `end`: events at exactly `end` stay pending
-  // and the clock is left at the last executed event (it does NOT advance to
-  // `end`). The windowed federation uses this to stop each cell at an open
-  // window boundary.
-  int64_t RunUntilBefore(SimTime end);
-
   // Runs until no events remain.
   int64_t Run() { return RunUntil(SimTime::Max()); }
-
-  // Time of the earliest pending event, or SimTime::Max() when idle.
-  SimTime NextEventTime() const {
-    return queue_.Empty() ? SimTime::Max() : queue_.PeekTime();
-  }
-
-  // Moves the clock forward to `t` without running anything. Requires
-  // t >= Now() and no pending event before `t` (jumping over events would
-  // break causality).
-  void AdvanceTo(SimTime t);
 
   size_t PendingEvents() const { return queue_.PendingCount(); }
 
  private:
-  int64_t RunLoop(SimTime end, bool inclusive);
-
   SimTime now_ = SimTime::Zero();
   uint32_t lane_ = 0;
   EventQueue queue_;

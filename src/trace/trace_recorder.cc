@@ -56,27 +56,17 @@ uint16_t TraceRecorder::RegisterTrack(const std::string& name) {
 }
 
 void TraceRecorder::Append(const TraceEvent& e) {
-  const size_t idx = static_cast<size_t>(appended_) % capacity_;
+  const size_t idx = static_cast<size_t>(total_) % capacity_;
   auto& slab = slabs_[idx / kSlabSize];
   if (slab == nullptr) {
     slab = std::make_unique<std::array<TraceEvent, kSlabSize>>();
   }
   (*slab)[idx % kSlabSize] = e;
-  ++appended_;
   ++total_;
   const auto t = static_cast<size_t>(e.type);
   ++counts_[t];
   arg0_sums_[t] += e.arg0;
   arg1_sums_[t] += e.arg1;
-}
-
-void TraceRecorder::AbsorbCounts(TraceEventType type, int64_t count,
-                                 int64_t arg0_sum, int64_t arg1_sum) {
-  const auto t = static_cast<size_t>(type);
-  counts_[t] += count;
-  arg0_sums_[t] += arg0_sum;
-  arg1_sums_[t] += arg1_sum;
-  total_ += count;
 }
 
 const TraceEvent& TraceRecorder::At(size_t ring_index) const {
@@ -88,14 +78,14 @@ int64_t TraceRecorder::Dropped() const {
 }
 
 size_t TraceRecorder::Retained() const {
-  return std::min<size_t>(static_cast<size_t>(appended_), capacity_);
+  return std::min<size_t>(static_cast<size_t>(total_), capacity_);
 }
 
 void TraceRecorder::ForEachRetained(
     const std::function<void(const TraceEvent&)>& fn) const {
   const size_t retained = Retained();
   const size_t start =
-      static_cast<size_t>(appended_ - static_cast<int64_t>(retained));
+      static_cast<size_t>(total_ - static_cast<int64_t>(retained));
   for (size_t i = 0; i < retained; ++i) {
     fn(At((start + i) % capacity_));
   }

@@ -115,25 +115,6 @@ class TraceRecorder {
                       uint16_t track = 0);
   void MachineRepair(SimTime t, MachineId machine, uint16_t track = 0);
 
-  // --- stream merging (windowed federation, DESIGN.md §15) ---
-  //
-  // The windowed federation records each cell into a private recorder and
-  // rebuilds the shared-queue stream afterwards: retained events are appended
-  // here in merged order, and events the private rings had already dropped
-  // are folded into the wrap-proof totals so CountOf/Sum*/TotalRecorded match
-  // a recorder that saw the whole stream.
-
-  // Appends a fully built event. The caller has already remapped `e.track`
-  // into this recorder's registry.
-  void AppendRaw(const TraceEvent& e) { Append(e); }
-
-  // Adds `count` events of `type` (with the given arg sums) to the totals
-  // without touching the ring.
-  void AbsorbCounts(TraceEventType type, int64_t count, int64_t arg0_sum,
-                    int64_t arg1_sum);
-
-  size_t capacity() const { return capacity_; }
-
   // --- queries ---
 
   // Total events ever appended (including overwritten ones).
@@ -173,8 +154,9 @@ class TraceRecorder {
   const TraceEvent& At(size_t ring_index) const;
 
   size_t capacity_;
-  int64_t total_ = 0;     // appended + absorbed (wrap-proof accounting)
-  int64_t appended_ = 0;  // ring write cursor: events actually stored
+  // Events ever appended (overwritten ones included); modulo capacity_ it is
+  // the ring write cursor.
+  int64_t total_ = 0;
   std::vector<std::unique_ptr<std::array<TraceEvent, kSlabSize>>> slabs_;
   std::array<int64_t, kNumTraceEventTypes> counts_{};
   std::array<int64_t, kNumTraceEventTypes> arg0_sums_{};

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
+
+#include "src/exp/env_knob.h"
 
 namespace omega {
 namespace {
@@ -75,6 +80,68 @@ TEST(BenchHorizonTest, DefaultAndOverride) {
   EXPECT_EQ(BenchHorizon(2.0), Duration::FromDays(2.0));
   setenv("OMEGA_BENCH_DAYS", "0.5", 1);
   EXPECT_EQ(BenchHorizon(2.0), Duration::FromDays(0.5));
+  unsetenv("OMEGA_BENCH_DAYS");
+}
+
+// The inputs every knob must refuse: a sign, a value past 32 bits, trailing
+// junk, no digits, and the non-finite spellings.
+constexpr const char* kHostileKnobValues[] = {"-1",  "4294967297", "2x",
+                                              "abc", "nan",        "inf"};
+
+TEST(EnvKnobTest, ThreadCountsParseStrictly) {
+  for (const char* bad : kHostileKnobValues) {
+    EXPECT_FALSE(ParseKnob<uint32_t>(bad, 0, kMaxKnobThreads)) << bad;
+  }
+  for (const char* bad : {"", " 4", "+4", "4 ", "257", "0x4", "4.0"}) {
+    EXPECT_FALSE(ParseKnob<uint32_t>(bad, 0, kMaxKnobThreads)) << bad;
+  }
+  EXPECT_EQ(ParseKnob<uint32_t>("0", 0, kMaxKnobThreads), 0u);
+  EXPECT_EQ(ParseKnob<uint32_t>("4", 0, kMaxKnobThreads), 4u);
+  EXPECT_EQ(ParseKnob<uint32_t>("256", 0, kMaxKnobThreads), kMaxKnobThreads);
+}
+
+TEST(EnvKnobTest, RealsMustBeFiniteAndInRange) {
+  for (const char* bad : kHostileKnobValues) {
+    EXPECT_FALSE(ParseKnob<double>(bad, kMinBenchDays, kMaxBenchDays)) << bad;
+  }
+  for (const char* bad : {"0", "1e400", "-inf", "infinity", "NaN", "1e-7",
+                          "366", "0.5d"}) {
+    EXPECT_FALSE(ParseKnob<double>(bad, kMinBenchDays, kMaxBenchDays)) << bad;
+  }
+  EXPECT_EQ(ParseKnob<double>("4", kMinBenchDays, kMaxBenchDays), 4.0);
+  EXPECT_EQ(ParseKnob<double>("0.25", kMinBenchDays, kMaxBenchDays), 0.25);
+  EXPECT_EQ(ParseKnob<double>("7e-1", kMinBenchDays, kMaxBenchDays), 0.7);
+}
+
+TEST(EnvKnobTest, SeedsTakeTheWholeUnsignedRange) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(ParseKnob<uint64_t>("4294967297", 0, kMax), 4294967297ULL);
+  EXPECT_EQ(ParseKnob<uint64_t>("18446744073709551615", 0, kMax), kMax);
+  EXPECT_FALSE(ParseKnob<uint64_t>("18446744073709551616", 0, kMax));
+  EXPECT_FALSE(ParseKnob<uint64_t>("-1", 0, kMax));
+  EXPECT_FALSE(ParseKnob<uint64_t>("2x", 0, kMax));
+}
+
+TEST(EnvKnobTest, UnsetOrEmptyMeansDefault) {
+  unsetenv("OMEGA_TEST_KNOB");
+  EXPECT_FALSE(EnvKnob<uint32_t>("OMEGA_TEST_KNOB", 0, kMaxKnobThreads));
+  setenv("OMEGA_TEST_KNOB", "", 1);
+  EXPECT_FALSE(EnvKnob<uint32_t>("OMEGA_TEST_KNOB", 0, kMaxKnobThreads));
+  setenv("OMEGA_TEST_KNOB", "4", 1);
+  EXPECT_EQ(EnvKnob<uint32_t>("OMEGA_TEST_KNOB", 0, kMaxKnobThreads), 4u);
+  unsetenv("OMEGA_TEST_KNOB");
+}
+
+// A rejected value ends the process with status 2 and names the variable.
+// The knob is read before anything uses it, so no worker is ever started.
+TEST(EnvKnobDeathTest, RejectedValueExitsTwoNamingTheVariable) {
+  setenv("OMEGA_BENCH_THREADS", "-1", 1);
+  EXPECT_EXIT(BenchThreads(), ::testing::ExitedWithCode(2),
+              "OMEGA_BENCH_THREADS=-1: expected a number in \\[0, 256\\]");
+  unsetenv("OMEGA_BENCH_THREADS");
+  setenv("OMEGA_BENCH_DAYS", "1e400", 1);
+  EXPECT_EXIT(BenchHorizon(1.0), ::testing::ExitedWithCode(2),
+              "OMEGA_BENCH_DAYS=1e400: expected");
   unsetenv("OMEGA_BENCH_DAYS");
 }
 

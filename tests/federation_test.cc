@@ -1,9 +1,12 @@
 // Multi-cell federation (DESIGN.md §13): determinism differentials across
-// sweep threads and intra-trial threads, gossip-staleness edge cases, and
-// spillover end-to-end.
+// sweep threads and intra-trial threads, gossip-staleness edge cases,
+// spillover end-to-end, and pinned digests for the shared queue's
+// equal-time edges.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "src/trace/trace_recorder.h"
 #include "src/workload/cluster_config.h"
 #include "tests/bitwise_eq.h"
+#include "tests/sim_fingerprint.h"
 
 namespace omega {
 namespace {
@@ -71,8 +75,13 @@ struct FedResult {
   std::vector<int64_t> cell_submitted;
 };
 
+// Runs one federation. With `trace_bytes`, a recorder is attached and its
+// JSON-lines export returned; with `cells_digest` as well, every cell's
+// FingerprintDigest (machine state, counters and the shared trace stream)
+// is folded, in cell order, into one FNV-1a value.
 FedResult RunFed(const SimOptions& options, const FederationOptions& fed_opts,
-                 std::string* trace_bytes = nullptr) {
+                 std::string* trace_bytes = nullptr,
+                 uint64_t* cells_digest = nullptr) {
   FederationSim fed(TestCluster(24), options, Sched("batch"), Sched("service"),
                     fed_opts);
   TraceRecorder recorder;
@@ -112,8 +121,36 @@ FedResult RunFed(const SimOptions& options, const FederationOptions& fed_opts,
     std::ostringstream os;
     recorder.ExportJsonLines(os);
     *trace_bytes = os.str();
+    if (cells_digest != nullptr) {
+      Fnv1a fnv;
+      for (uint32_t i = 0; i < fed.num_cells(); ++i) {
+        fnv.U64(FingerprintDigest(Fingerprint(fed.cell(i), recorder)));
+      }
+      *cells_digest = fnv.h;
+    }
   }
   return r;
+}
+
+// FNV-1a over every FedResult field (doubles by bit pattern).
+uint64_t ResultDigest(const FedResult& r) {
+  Fnv1a fnv;
+  for (const int64_t v :
+       {r.routed, r.scheduled, r.lost, r.spills, r.timeouts, r.rejections,
+        r.published, r.delivered, r.fallback, r.submitted, r.abandoned}) {
+    fnv.U64(static_cast<uint64_t>(v));
+  }
+  fnv.U64(r.seqnum_sum);
+  for (const double v : {r.staleness_mean, r.delivery_mean, r.tts_p50,
+                         r.tts_p90, r.spill_p90, r.conflict, r.util_mean,
+                         r.skew}) {
+    fnv.Double(v);
+  }
+  for (size_t i = 0; i < r.cell_cpu.size(); ++i) {
+    fnv.Double(r.cell_cpu[i]);
+    fnv.U64(static_cast<uint64_t>(r.cell_submitted[i]));
+  }
+  return fnv.h;
 }
 
 void ExpectSameResult(const FedResult& a, const FedResult& b) {
@@ -171,16 +208,19 @@ TEST(FederationDeterminismTest, BitIdenticalAcrossSweepThreads) {
 // counters, statistics, or the byte-exact trace stream.
 TEST(FederationDeterminismTest, BitIdenticalAcrossIntraTrialThreads) {
   SimOptions sequential = BaseOptions(/*seed=*/5);
-  SimOptions sharded = sequential;
-  sharded.intra_trial_threads = 2;
-  sharded.parallel_commit_min_claims = 1;  // force the parallel pre-check
   std::string trace_seq;
-  std::string trace_par;
   const FedResult a = RunFed(sequential, BaseFed(), &trace_seq);
-  const FedResult b = RunFed(sharded, BaseFed(), &trace_par);
-  ExpectSameResult(a, b);
-  EXPECT_EQ(trace_seq, trace_par) << "trace streams diverge";
   EXPECT_FALSE(trace_seq.empty());
+  for (const uint32_t threads : {2u, 8u}) {
+    SCOPED_TRACE("intra_trial_threads=" + std::to_string(threads));
+    SimOptions sharded = sequential;
+    sharded.intra_trial_threads = threads;
+    sharded.parallel_commit_min_claims = 1;  // force the parallel pre-check
+    std::string trace_par;
+    const FedResult b = RunFed(sharded, BaseFed(), &trace_par);
+    ExpectSameResult(a, b);
+    EXPECT_EQ(trace_seq, trace_par) << "trace streams diverge";
+  }
 }
 
 // Gossip that is published but never delivered leaves the least-loaded router
@@ -326,132 +366,96 @@ TEST(FederationTraceTest, TracksAreNamespacedPerCell) {
   EXPECT_NE(trace.find("cell1/"), std::string::npos);
 }
 
-// --- windowed execution (DESIGN.md §15) ------------------------------------
-
-FederationOptions Windowed(FederationOptions f, uint32_t threads) {
-  f.window_parallelism = threads;
-  return f;
-}
-
-// Runs the same configuration through the shared queue and through windowed
-// execution at 1, 2, and 8 threads, demanding the full fingerprint and the
-// byte-exact JSON-lines trace stream agree every time.
-void ExpectWindowedMatchesShared(const SimOptions& options,
-                                 const FederationOptions& fed_opts) {
-  std::string shared_trace;
-  const FedResult shared = RunFed(options, fed_opts, &shared_trace);
-  EXPECT_FALSE(shared_trace.empty());
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE("window_parallelism=" + std::to_string(threads));
-    std::string windowed_trace;
-    const FedResult windowed =
-        RunFed(options, Windowed(fed_opts, threads), &windowed_trace);
-    ExpectSameResult(shared, windowed);
-    EXPECT_EQ(shared_trace, windowed_trace) << "trace streams diverge";
+// Seven edge configurations of the shared master queue, each pinned by three
+// digests: the folded per-cell fingerprints, the front-door result, and the
+// byte-exact JSON-lines trace. The first six are the configurations the
+// removed conservative time-window execution was diffed against at 1, 2 and
+// 8 threads; their digests were recorded from those bit-identical
+// shared-queue runs before the removal. The seventh makes watchdogs tie
+// with attempt completions, so it pins master-before-cell at equal times
+// (with transfers and watchdogs moved behind the cells' lanes, only it
+// fails); watchdog_races_spill pins the cells' index order. Any change to
+// routing, gossip, transfer or watchdog timing fails here too.
+TEST(FederationPinnedDigestTest, SharedQueueEdgeConfigurations) {
+  struct PinnedCase {
+    const char* name;
+    uint64_t seed;
+    FederationOptions fed;
+    double batch_rate_multiplier;
+    bool expects_timeouts;  // the watchdog edge must actually fire
+    uint64_t cells_digest;
+    uint64_t result_digest;
+    uint64_t trace_digest;
+  };
+  FederationOptions static_hash = BaseFed();
+  static_hash.routing = FederationRouting::kStaticHash;
+  // Live summaries (no gossip) without spillover.
+  FederationOptions live_no_spill = BaseFed();
+  live_no_spill.gossip_interval = Duration::Zero();
+  live_no_spill.spillover = SpilloverPolicy::kNone;
+  // Jitter-free gossip with transfer_delay equal to the gossip interval:
+  // every delivery collides with a publication instant.
+  FederationOptions transfer_on_gossip = BaseFed();
+  transfer_on_gossip.gossip_jitter = Duration::Zero();
+  transfer_on_gossip.transfer_delay = transfer_on_gossip.gossip_interval;
+  // Zero delivery delay: every summary lands at its publication instant.
+  FederationOptions zero_gossip_delay = BaseFed();
+  zero_gossip_delay.gossip_delay = Duration::Zero();
+  zero_gossip_delay.gossip_jitter = Duration::Zero();
+  // A pending timeout short enough to fire while jobs are still queued, under
+  // doubled batch load: watchdog-vs-completion ties are common, and the
+  // watchdog (master lane) wins a same-instant race.
+  FederationOptions watchdog = BaseFed();
+  watchdog.pending_timeout = Duration::FromSeconds(10);
+  watchdog.max_spills = 3;
+  // A pending timeout equal to a one-task batch decision (t_job + t_task):
+  // a job delivered to an idle scheduler finishes its attempt at the very
+  // instant its watchdog fires, and the master-lane watchdog spills it first.
+  FederationOptions watchdog_tie = BaseFed();
+  watchdog_tie.pending_timeout = Duration::FromMillis(105);
+  watchdog_tie.max_spills = 3;
+  const PinnedCase cases[] = {
+      {"gossip_spillover", 31, BaseFed(), 1.0, false, 0xd926845bbec19f2fULL,
+       0xfbe40ab0e373914fULL, 0x828fae34ef218313ULL},
+      {"static_hash", 32, static_hash, 1.0, false, 0x559d8dd919c0f3efULL,
+       0x4739ec845de9f79aULL, 0x0256ff38da95ab29ULL},
+      {"live_no_spill", 35, live_no_spill, 1.0, false, 0xaee011a55c3cde51ULL,
+       0x616b240c496e69faULL, 0xdfe783ee47cc315bULL},
+      {"transfer_on_gossip", 41, transfer_on_gossip, 1.0, false,
+       0x35fb67545b1a6c7eULL, 0xaaa133ab16082391ULL, 0xc1ceddf598442d9cULL},
+      {"zero_gossip_delay", 42, zero_gossip_delay, 1.0, false,
+       0x9469dee74a0bb164ULL, 0x11f37ae57c9ca6d5ULL, 0xb4164caa004b4798ULL},
+      {"watchdog_races_spill", 43, watchdog, 2.0, true, 0xb4ffb774121ea13cULL,
+       0x1d870bfeb1560808ULL, 0x89722ffe90b5f917ULL},
+      {"watchdog_ties_attempt", 44, watchdog_tie, 1.0, true,
+       0xcdda7c32640a6327ULL, 0x1f0c36d668bfc5c7ULL, 0x1e6da3046e2c232bULL},
+  };
+  auto hex = [](uint64_t v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
+    return std::string(buf);
+  };
+  for (const PinnedCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    SimOptions options = BaseOptions(c.seed);
+    options.batch_rate_multiplier = c.batch_rate_multiplier;
+    std::string trace;
+    uint64_t cells_digest = 0;
+    const FedResult r = RunFed(options, c.fed, &trace, &cells_digest);
+    EXPECT_FALSE(trace.empty());
+    Fnv1a trace_fnv;
+    trace_fnv.Bytes(trace);
+    const uint64_t result_digest = ResultDigest(r);
+    EXPECT_EQ(cells_digest, c.cells_digest)
+        << "cells digest is now " << hex(cells_digest);
+    EXPECT_EQ(result_digest, c.result_digest)
+        << "result digest is now " << hex(result_digest);
+    EXPECT_EQ(trace_fnv.h, c.trace_digest)
+        << "trace digest is now " << hex(trace_fnv.h);
+    if (c.expects_timeouts) {
+      EXPECT_GT(r.timeouts, 0) << "edge not exercised: no watchdog fired";
+    }
   }
-}
-
-// The headline differential: the default gossip/spillover configuration,
-// windowed at 1/2/8 threads, bit-identical to the shared-queue interleaving.
-TEST(FederationWindowedTest, BitIdenticalSharedVsWindowed) {
-  ExpectWindowedMatchesShared(BaseOptions(/*seed=*/31), BaseFed());
-}
-
-// Static-hash routing never reads summaries, so windows stretch between
-// transfer deliveries; the stream must still match exactly.
-TEST(FederationWindowedTest, BitIdenticalUnderStaticRouting) {
-  FederationOptions f = BaseFed();
-  f.routing = FederationRouting::kStaticHash;
-  ExpectWindowedMatchesShared(BaseOptions(/*seed=*/32), f);
-}
-
-// Windowed execution engages (it is not silently falling back to the shared
-// path) and reports coherent window accounting.
-TEST(FederationWindowedTest, EngagesAndReportsWindowStats) {
-  const SimOptions options = BaseOptions(/*seed=*/33);
-  FederationSim fed(TestCluster(24), options, Sched("batch"), Sched("service"),
-                    Windowed(BaseFed(), 2));
-  EXPECT_TRUE(fed.windowed_active());
-  fed.Run();
-  EXPECT_GT(fed.WindowCount(), 0);
-  EXPECT_GT(fed.MeanWindowWidthSecs(), 0.0);
-  EXPECT_GE(fed.BarrierStallFraction(), 0.0);
-  EXPECT_LE(fed.BarrierStallFraction(), 1.0);
-}
-
-// Configurations the conservative lookahead cannot bound fall back to the
-// shared queue — and say so — rather than risking divergence.
-TEST(FederationWindowedTest, UnsupportedConfigsFallBackToShared) {
-  FederationOptions zero_delay = BaseFed();
-  zero_delay.transfer_delay = Duration::Zero();
-  EXPECT_TRUE(FederationSim::WindowedUnsupported(zero_delay));
-
-  FederationOptions live = BaseFed();
-  live.gossip_interval = Duration::Zero();
-  EXPECT_TRUE(FederationSim::WindowedUnsupported(live));
-
-  // Without spillover, neither case needs mid-window reads: both are safe.
-  FederationOptions no_spill_zero_delay = zero_delay;
-  no_spill_zero_delay.spillover = SpilloverPolicy::kNone;
-  EXPECT_FALSE(FederationSim::WindowedUnsupported(no_spill_zero_delay));
-
-  FederationSim fed(TestCluster(24), BaseOptions(/*seed=*/34), Sched("batch"),
-                    Sched("service"), Windowed(live, 4));
-  EXPECT_FALSE(fed.windowed_active());
-  fed.Run();
-  EXPECT_EQ(fed.WindowCount(), 0);
-
-  // The fallback still produces the canonical result.
-  const FedResult a = RunFed(BaseOptions(/*seed=*/34), live);
-  const FedResult b = RunFed(BaseOptions(/*seed=*/34), Windowed(live, 4));
-  ExpectSameResult(a, b);
-}
-
-// Live summaries without spillover avoid the fallback: windows are bounded
-// by the arrival stream itself, and the differential must still hold.
-TEST(FederationWindowedTest, LiveSummariesWithoutSpillover) {
-  FederationOptions f = BaseFed();
-  f.gossip_interval = Duration::Zero();
-  f.spillover = SpilloverPolicy::kNone;
-  ASSERT_FALSE(FederationSim::WindowedUnsupported(f));
-  ExpectWindowedMatchesShared(BaseOptions(/*seed=*/35), f);
-}
-
-// --- window-boundary edges --------------------------------------------------
-
-// Transfers that land exactly on a gossip barrier: with transfer_delay equal
-// to the (jitter-free) gossip interval, every delivery collides with a
-// publication instant. Master-lane ordering must keep the two modes aligned.
-TEST(FederationWindowEdgeTest, TransferExactlyAtBarrier) {
-  FederationOptions f = BaseFed();
-  f.gossip_jitter = Duration::Zero();
-  f.transfer_delay = f.gossip_interval;  // deliveries hit publish instants
-  ExpectWindowedMatchesShared(BaseOptions(/*seed=*/41), f);
-}
-
-// Gossip published at the exact instant a window opens: zero delivery delay
-// makes every summary land at its publication barrier, the window's open
-// edge. The router must see it on the next decision in both modes.
-TEST(FederationWindowEdgeTest, GossipAtWindowOpen) {
-  FederationOptions f = BaseFed();
-  f.gossip_delay = Duration::Zero();
-  f.gossip_jitter = Duration::Zero();
-  ExpectWindowedMatchesShared(BaseOptions(/*seed=*/42), f);
-}
-
-// Pending-timeout watchdogs racing cell progress: a timeout short enough to
-// fire while jobs are still queued makes watchdog-vs-completion ties common.
-// The watchdog runs on the master lane, so it always wins a same-instant race
-// in both modes.
-TEST(FederationWindowEdgeTest, WatchdogRacesSpill) {
-  FederationOptions f = BaseFed();
-  f.pending_timeout = Duration::FromSeconds(10);
-  f.max_spills = 3;
-  SimOptions options = BaseOptions(/*seed=*/43);
-  options.batch_rate_multiplier = 2.0;  // queue pressure => real timeouts
-  const FedResult probe = RunFed(options, f);
-  EXPECT_GT(probe.timeouts, 0) << "edge not exercised: no watchdog fired";
-  ExpectWindowedMatchesShared(options, f);
 }
 
 // The federation report nests one RunReport per cell under a fleet section

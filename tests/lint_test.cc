@@ -234,16 +234,6 @@ TEST(LintShardSafety, CallGraphEdgeCases) {
   EXPECT_EQ(CountFile(findings, "src/edges.cc"), 3);
 }
 
-TEST(LintShardSafety, DisjointTreeCallbacksOwnTheirObjects) {
-  const auto findings = RunOn("shard");
-  // disjoint.cc: RunDisjoint callbacks are seeded per-tree, so writes
-  // through the captured per-index objects (direct or via a reached method)
-  // are clean; a global write inside the callback still flags.
-  EXPECT_EQ(CountFile(findings, "src/disjoint.cc"), 1);
-  EXPECT_TRUE(HasFindingAt(findings, "det-shard-unsafe-write",
-                           "src/disjoint.cc", 24));  // disjoint_global +=
-}
-
 TEST(LintShardSafety, ShardSlotsFrameLocalsAndPerTrialObjectsAreClean) {
   const auto findings = RunOn("shard");
   EXPECT_EQ(CountFile(findings, "src/shard_ok.cc"), 0);

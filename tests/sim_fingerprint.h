@@ -84,43 +84,56 @@ inline void ExpectIdentical(const SimFingerprint& got,
   }
 }
 
-// FNV-1a (64-bit) over every fingerprint field, each widened to 64 bits and
-// fed little-end first; doubles contribute their bit patterns.
-inline uint64_t FingerprintDigest(const SimFingerprint& fp) {
+// FNV-1a (64-bit): integers are fed little-end first, doubles by their bit
+// patterns, strings byte by byte.
+struct Fnv1a {
   uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](uint64_t v) {
+  void Byte(uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  void U64(uint64_t v) {
     for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xff;
-      h *= 0x100000001b3ULL;
+      Byte(static_cast<uint8_t>(v >> (8 * byte)));
     }
-  };
-  auto mix_double = [&mix](double v) { mix(std::bit_cast<uint64_t>(v)); };
+  }
+  void Double(double v) { U64(std::bit_cast<uint64_t>(v)); }
+  void Bytes(std::string_view bytes) {
+    for (const char c : bytes) {
+      Byte(static_cast<uint8_t>(c));
+    }
+  }
+};
+
+// FNV-1a over every fingerprint field, each widened to 64 bits.
+inline uint64_t FingerprintDigest(const SimFingerprint& fp) {
+  Fnv1a fnv;
   for (const uint64_t s : fp.seqnums) {
-    mix(s);
+    fnv.U64(s);
   }
   for (const double a : fp.allocated) {
-    mix_double(a);
+    fnv.Double(a);
   }
-  mix_double(fp.total_cpus);
-  mix_double(fp.total_mem);
+  fnv.Double(fp.total_cpus);
+  fnv.Double(fp.total_mem);
   for (const int64_t v :
        {fp.submitted, fp.preempted, fp.failures, fp.killed}) {
-    mix(static_cast<uint64_t>(v));
+    fnv.U64(static_cast<uint64_t>(v));
   }
   for (const TraceEvent& e : fp.events) {
-    mix(static_cast<uint64_t>(e.time_us));
-    mix(static_cast<uint64_t>(e.type));
-    mix(e.track);
-    mix(e.job);
-    mix(e.machine);
-    mix(e.seqnum);
-    mix(static_cast<uint64_t>(e.arg0));
-    mix(static_cast<uint64_t>(e.arg1));
+    fnv.U64(static_cast<uint64_t>(e.time_us));
+    fnv.U64(static_cast<uint64_t>(e.type));
+    fnv.U64(e.track);
+    fnv.U64(e.job);
+    fnv.U64(e.machine);
+    fnv.U64(e.seqnum);
+    fnv.U64(static_cast<uint64_t>(e.arg0));
+    fnv.U64(static_cast<uint64_t>(e.arg1));
   }
   for (const int64_t c : fp.event_counts) {
-    mix(static_cast<uint64_t>(c));
+    fnv.U64(static_cast<uint64_t>(c));
   }
-  return h;
+  return fnv.h;
 }
 
 }  // namespace omega

@@ -431,7 +431,6 @@ void Linter::ScanShardFunction(const ShardState& state,
     // roots); resolving `pool_->Run(...)` as an ordinary call would widen,
     // via the bare-name fallback, to every `Run` method in the project.
     if (Contains(config_.shard_api_names, call.callee) ||
-        Contains(config_.disjoint_api_names, call.callee) ||
         (call.callee == config_.pool_run_name &&
          Lower(call.receiver_root).find(config_.pool_receiver_hint) !=
              std::string::npos)) {
@@ -514,14 +513,7 @@ void Linter::CheckShardSafety() {
       continue;
     }
     for (const CallSite& call : fn.calls) {
-      // Disjoint-tree barriers (RunDisjoint): callbacks run on workers, so
-      // they are shard roots, but each invocation owns its index's object
-      // tree — seed them per-tree (self_shared = false) so mutating the
-      // captured per-index objects is legal while globals still flag.
-      const bool disjoint_api =
-          Contains(config_.disjoint_api_names, call.callee);
-      bool shard_api =
-          disjoint_api || Contains(config_.shard_api_names, call.callee);
+      bool shard_api = Contains(config_.shard_api_names, call.callee);
       if (!shard_api && call.callee == config_.pool_run_name) {
         shard_api = Lower(call.receiver_root)
                         .find(config_.pool_receiver_hint) !=
@@ -530,14 +522,13 @@ void Linter::CheckShardSafety() {
       if (!shard_api) {
         continue;
       }
-      const bool self_shared = !disjoint_api;
       for (int id : call.lambda_args) {
-        work.push_back({id, self_shared, id});
+        work.push_back({id, /*self_shared=*/true, id});
       }
       for (const std::string& arg : call.ident_args) {
         const int id = FindNamedLambda(fn, arg);
         if (id >= 0) {
-          work.push_back({id, self_shared, id});
+          work.push_back({id, /*self_shared=*/true, id});
         }
       }
     }

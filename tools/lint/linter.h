@@ -126,13 +126,6 @@ struct Config {
   std::vector<std::string> shard_api_names = {"FirstMatch",
                                               "ParallelForRanges",
                                               "ParallelFor"};
-  // Barrier primitives whose callbacks run concurrently but each own a
-  // disjoint object tree (RunDisjoint(pool, n, fn): fn(i) may freely mutate
-  // the i-th tree — the windowed federation advancing per-cell simulators,
-  // DESIGN.md §15). Their callbacks are seeded with a *per-tree* context
-  // (self_shared = false), so writes through captured objects are legal
-  // while writes to globals or into an enclosing shared root still flag.
-  std::vector<std::string> disjoint_api_names = {"RunDisjoint"};
   // `Run` is a shard API only when the receiver looks like a worker pool
   // (WorkerPool::Run), so Simulator::Run is not a false root.
   std::string pool_run_name = "Run";
