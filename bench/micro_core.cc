@@ -1,19 +1,23 @@
 // Micro-benchmarks of the simulator's core operations (google-benchmark):
 // cell-state allocate/free, transaction commit under both conflict-detection
 // modes, the placement algorithms (including the randomized-first-fit vs
-// scoring-placer ablation from DESIGN.md), the event queue, and a Mesos
-// allocation round.
+// scoring-placer ablation from DESIGN.md), the event queue, a Mesos
+// allocation round, and the trace writer and reader.
 #include <benchmark/benchmark.h>
+
+#include <sstream>
 
 #include "src/cluster/cell_state.h"
 #include "src/common/deterministic_reduce.h"
 #include "src/common/parallel_for.h"
+#include "src/hifi/hifi_simulation.h"
 #include "src/hifi/scoring_placer.h"
 #include "src/mesos/mesos_simulation.h"
 #include "src/scheduler/placement.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
 #include "src/workload/cluster_config.h"
+#include "src/workload/trace.h"
 
 namespace omega {
 namespace {
@@ -573,6 +577,47 @@ void BM_MesosAllocationRound(benchmark::State& state) {
 }
 BENCHMARK(BM_MesosAllocationRound)
     ->ArgsProduct({{1000, 4000, 12000}, {1, 2}});
+
+// The trace codec over the seed-1 one-day cluster-B hifi trace, the one
+// perfbench's hifi-replay round-trips (99,132 jobs, 8,848,996 bytes), in
+// memory so that only formatting and parsing are timed.
+const std::vector<Job>& HifiDayTrace() {
+  static const std::vector<Job> trace =
+      GenerateHifiTrace(ClusterB(), Duration::FromDays(1.0), BenchSeed(1));
+  return trace;
+}
+
+void BM_TraceWrite(benchmark::State& state) {
+  const std::vector<Job>& trace = HifiDayTrace();
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    std::stringstream ss;
+    WriteTrace(trace, ss);
+    bytes += static_cast<int64_t>(ss.tellp());
+    benchmark::DoNotOptimize(ss);
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_TraceWrite)->Unit(benchmark::kMillisecond);
+
+void BM_TraceRead(benchmark::State& state) {
+  std::stringstream ss;
+  WriteTrace(HifiDayTrace(), ss);
+  const auto size = static_cast<int64_t>(ss.tellp());
+  std::vector<Job> jobs;
+  std::string error;
+  for (auto _ : state) {
+    ss.clear();
+    ss.seekg(0);
+    if (!ReadTrace(ss, &jobs, &error)) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(jobs.data());
+  }
+  state.SetBytesProcessed(state.iterations() * size);
+}
+BENCHMARK(BM_TraceRead)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace omega

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstdio>
 #include <sstream>
 
 #include "src/workload/cluster_config.h"
 #include "src/workload/generator.h"
+#include "tests/bitwise_eq.h"
+#include "tests/sim_fingerprint.h"
 
 namespace omega {
 namespace {
@@ -38,6 +41,24 @@ void ExpectJobsEqual(const std::vector<Job>& a, const std::vector<Job>& b) {
   }
 }
 
+// Doubles whose %.17g form is awkward (subnormal, huge, negative
+// zero, not exactly representable) and job ids a double cannot hold.
+std::vector<Job> AwkwardJobs() {
+  const double values[] = {0.1, 1e-7, 1e21, 5e-324, DBL_MAX, -0.0};
+  const JobId ids[] = {(JobId{1} << 53) + 1, (JobId{1} << 63) + 12345,
+                       UINT64_MAX, 1, 2, 3};
+  std::vector<Job> jobs;
+  for (size_t i = 0; i < 6; ++i) {
+    Job j;
+    j.id = ids[i];
+    j.submit_time = SimTime(static_cast<int64_t>(i));
+    j.task_duration = Duration(1);
+    j.task_resources = Resources{values[i], values[5 - i]};
+    jobs.push_back(j);
+  }
+  return jobs;
+}
+
 TEST(TraceTest, RoundTripPreservesEverything) {
   const std::vector<Job> jobs = SampleJobs();
   ASSERT_FALSE(jobs.empty());
@@ -47,6 +68,41 @@ TEST(TraceTest, RoundTripPreservesEverything) {
   std::string error;
   ASSERT_TRUE(ReadTrace(ss, &parsed, &error)) << error;
   ExpectJobsEqual(jobs, parsed);
+}
+
+TEST(TraceTest, AwkwardValuesRoundTripBitExact) {
+  const std::vector<Job> jobs = AwkwardJobs();
+  std::stringstream ss;
+  WriteTrace(jobs, ss);
+  std::vector<Job> parsed;
+  std::string error;
+  ASSERT_TRUE(ReadTrace(ss, &parsed, &error)) << error;
+  ASSERT_EQ(parsed.size(), jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(parsed[i].id, jobs[i].id);
+    EXPECT_TRUE(SameBits(parsed[i].task_resources.cpus,
+                         jobs[i].task_resources.cpus));
+    EXPECT_TRUE(SameBits(parsed[i].task_resources.mem_gb,
+                         jobs[i].task_resources.mem_gb));
+  }
+}
+
+// The writer's bytes are part of the format: a trace written today must be
+// byte-identical to one written by every earlier build. Size and digest were
+// recorded from the iostream writer (setprecision(17)) before the to_chars
+// writer replaced it.
+TEST(TraceTest, WriterBytesArePinned) {
+  std::vector<Job> jobs = SampleJobs();
+  for (Job& j : AwkwardJobs()) {
+    jobs.push_back(std::move(j));
+  }
+  std::ostringstream os;
+  WriteTrace(jobs, os);
+  const std::string bytes = os.str();
+  Fnv1a fnv;
+  fnv.Bytes(bytes);
+  EXPECT_EQ(bytes.size(), 1178555u);
+  EXPECT_EQ(fnv.h, 0x0eb6b6632d427cf7ULL) << std::hex << fnv.h;
 }
 
 TEST(TraceTest, FileRoundTrip) {
@@ -178,6 +234,59 @@ INSTANTIATE_TEST_SUITE_P(
         BadJobRecord{"job 2 batch 0 1 1 nan 1", "malformed job record"},
         BadJobRecord{"job 2 batch 0 1 1 1 inf", "malformed job record"},
         BadJobRecord{"job 2 batch 0 1 1 1e999 1", "malformed job record"}));
+
+// Times are bounded by kMaxTraceMicros so that replaying a trace cannot
+// overflow SimTime: each time field is accepted at the bound and rejected,
+// with its line number, one microsecond past it.
+struct TimeBoundCase {
+  const char* name;
+  const char* record;  // printf format with one %lld for the time
+  const char* message;
+};
+
+class TraceTimeBoundTest : public ::testing::TestWithParam<TimeBoundCase> {};
+
+std::string TimeBoundTrace(const TimeBoundCase& c, int64_t micros) {
+  char record[160];
+  std::snprintf(record, sizeof(record), c.record,
+                static_cast<long long>(micros));
+  return std::string("job 1 batch 0 1 1 1 1\n") + record + "\n";
+}
+
+TEST_P(TraceTimeBoundTest, AcceptsTheBound) {
+  std::stringstream ss(TimeBoundTrace(GetParam(), kMaxTraceMicros));
+  std::vector<Job> parsed;
+  std::string error;
+  EXPECT_TRUE(ReadTrace(ss, &parsed, &error)) << error;
+}
+
+TEST_P(TraceTimeBoundTest, RejectsOnePast) {
+  std::stringstream ss(TimeBoundTrace(GetParam(), kMaxTraceMicros + 1));
+  std::vector<Job> parsed;
+  std::string error;
+  EXPECT_FALSE(ReadTrace(ss, &parsed, &error));
+  EXPECT_EQ(error, std::string("trace parse error at line 2: ") +
+                       GetParam().message);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, TraceTimeBoundTest,
+    ::testing::Values(
+        TimeBoundCase{"Submit", "job 2 batch %lld 1 1 1 1",
+                      "malformed job record: submit time above "
+                      "kMaxTraceMicros"},
+        TimeBoundCase{"Duration", "job 2 service 0 1 %lld 1 1",
+                      "malformed job record: task duration above "
+                      "kMaxTraceMicros"},
+        TimeBoundCase{"MapActivity", "mapreduce 1 4 2 %lld 1 3",
+                      "malformed mapreduce record: activity duration above "
+                      "kMaxTraceMicros"},
+        TimeBoundCase{"ReduceActivity", "mapreduce 1 4 2 1 %lld 3",
+                      "malformed mapreduce record: activity duration above "
+                      "kMaxTraceMicros"}),
+    [](const ::testing::TestParamInfo<TimeBoundCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(TraceTest, AcceptsBoundaryValues) {
   // Zero submit time, duration and resources are valid; so is the largest
