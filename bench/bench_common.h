@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "src/exp/env_knob.h"
 #include "src/exp/experiment.h"
 #include "src/exp/sweep.h"
 #include "src/scheduler/config.h"
@@ -38,18 +37,6 @@ inline void PrintBenchHeader(const std::string& id, const std::string& title,
 // The t_job(service) sweep used by Figures 5-7 and 12 (10 ms .. 100 s).
 inline std::vector<double> TjobSweep(int points = 7) {
   return LogSpace(0.01, 100.0, points);
-}
-
-// SimOptions::intra_trial_threads for bench trials: $OMEGA_INTRA_TRIAL_THREADS
-// (default 1 = sequential trials; 0 = hardware concurrency; at most
-// kMaxKnobThreads, parsed strictly by src/exp/env_knob.h). Results are
-// bit-identical at any value — CI re-runs the golden checks at 2 to prove it
-// — so the knob only trades trial wall-clock against sweep-level parallelism.
-// Benches that honor it record the value in BENCH provenance via
-// SweepReport::intra_trial_threads.
-inline uint32_t BenchIntraTrialThreads() {
-  return EnvKnob<uint32_t>("OMEGA_INTRA_TRIAL_THREADS", 0, kMaxKnobThreads)
-      .value_or(1);
 }
 
 // Writes the sweep's BENCH_<figure>.json and prints a one-line timing

@@ -40,15 +40,9 @@ std::string FormatTrial(const SweepResult& r) {
 
 std::vector<std::string> RunSmokeSweep() {
   SweepRunner runner("smoke", kFig56BaseSeed);
-  // Intra-trial parallelism knob: the lines this sweep emits are bit-identical
-  // at any value (CI re-runs the check with OMEGA_INTRA_TRIAL_THREADS=2
-  // against the same golden to prove it).
-  SimOptions base_options;
-  base_options.intra_trial_threads = BenchIntraTrialThreads();
-  runner.report().intra_trial_threads = base_options.intra_trial_threads;
   const std::vector<SweepResult> results =
       RunFig56Sweep(Duration::FromDays(kSmokeHorizonDays), runner,
-                    kSmokeTjobPoints, base_options);
+                    kSmokeTjobPoints);
   std::vector<std::string> lines;
   lines.reserve(results.size());
   for (const SweepResult& r : results) {

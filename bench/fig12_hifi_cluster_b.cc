@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/common/deterministic_reduce.h"
 #include "src/common/parallel_for.h"
 #include "src/hifi/hifi_simulation.h"
 
@@ -62,7 +61,6 @@ Row RunTrial(double t_job, size_t i, Duration horizon) {
   SimOptions opts;
   opts.horizon = horizon;
   opts.seed = 12000 + i;
-  opts.intra_trial_threads = BenchIntraTrialThreads();
   auto sim = MakeHifiSimulation(ClusterB(), opts,
                                 DefaultSchedulerConfig("batch"),
                                 ServiceConfigWithTjob(t_job));

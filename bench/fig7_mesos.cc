@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/common/deterministic_reduce.h"
 #include "src/common/parallel_for.h"
 #include "src/mesos/mesos_simulation.h"
 
@@ -78,7 +77,6 @@ Row RunTrial(const Trial& t, Duration horizon) {
   SimOptions opts;
   opts.horizon = horizon;
   opts.seed = t.seed;
-  opts.intra_trial_threads = BenchIntraTrialThreads();
   if (t.machine_failure_rate_per_day > 0.0) {
     opts.track_running_tasks = true;
     opts.machine_failure_rate_per_day = t.machine_failure_rate_per_day;

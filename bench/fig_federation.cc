@@ -19,9 +19,7 @@
 //   fig_federation --smoke-check <golden> short run, bit-exact diff vs golden
 //
 // Smoke golden values are serialized as hex floats (%a), which round-trip
-// doubles exactly; the comparison is string equality, i.e. bitwise. CI
-// re-checks the golden at OMEGA_INTRA_TRIAL_THREADS=2: every row is
-// bit-identical at any thread count.
+// doubles exactly; the comparison is string equality, i.e. bitwise.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -127,12 +125,10 @@ FederationOptions MakeFedOptions(const RowConfig& cfg) {
   return fed;
 }
 
-Row RunFederationRow(const RowConfig& cfg, Duration horizon, uint64_t seed,
-                     uint32_t intra_threads) {
+Row RunFederationRow(const RowConfig& cfg, Duration horizon, uint64_t seed) {
   SimOptions opts;
   opts.horizon = horizon;
   opts.seed = seed;
-  opts.intra_trial_threads = intra_threads;
   Row row;
   if (cfg.giant_cell) {
     // N cells' machines and arrival rates in one scheduling domain, with one
@@ -186,13 +182,9 @@ Row RunFederationRow(const RowConfig& cfg, Duration horizon, uint64_t seed,
 
 std::vector<Row> RunGrid(const RowConfig* grid, size_t grid_size,
                          Duration horizon, SweepRunner& runner) {
-  const uint32_t intra_threads = BenchIntraTrialThreads();
-  runner.report().intra_trial_threads = intra_threads;
   runner.report().AddMetric("sim_days", horizon.ToDays());
-  runner.report().AddMetric("intra_trial_threads",
-                            static_cast<double>(intra_threads));
   std::vector<Row> rows = runner.Run(grid_size, [&](const TrialContext& ctx) {
-    return RunFederationRow(grid[ctx.index], horizon, ctx.seed, intra_threads);
+    return RunFederationRow(grid[ctx.index], horizon, ctx.seed);
   });
   for (size_t i = 0; i < grid_size; ++i) {
     runner.report().trial_labels.emplace_back(grid[i].label);

@@ -16,7 +16,6 @@
 //
 // Smoke golden values are serialized as hex floats (%a), which round-trip
 // doubles exactly; the comparison is string equality, i.e. bitwise.
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -25,10 +24,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/cluster/cell_state.h"
 #include "src/omega/omega_scheduler.h"
-#include "src/scheduler/placement.h"
-#include "src/workload/job.h"
 
 namespace omega {
 namespace {
@@ -52,22 +48,12 @@ struct Row {
 
 std::vector<Row> RunMegaSweep(Duration horizon, int trials,
                               SweepRunner& runner) {
-  // Intra-trial parallelism: bit-identical rows at any thread count (the CI
-  // smoke check re-runs at 2 to prove it); recorded in the report plus a
-  // metric so the 1/2/4/8-thread scaling curve reconstructs from
-  // BENCH_fig_mega.json artifacts alone (per-trial wall-clock is already in
-  // trial_wall_seconds).
-  const uint32_t intra_threads = BenchIntraTrialThreads();
-  runner.report().intra_trial_threads = intra_threads;
   runner.report().AddMetric("sim_days", horizon.ToDays());
   runner.report().AddMetric("num_machines", 100000.0);
-  runner.report().AddMetric("intra_trial_threads",
-                            static_cast<double>(intra_threads));
   return runner.Run(trials, [&](const TrialContext& ctx) {
     SimOptions opts;
     opts.horizon = horizon;
     opts.seed = ctx.seed;
-    opts.intra_trial_threads = intra_threads;
     OmegaSimulation sim(ClusterMega(), opts, DefaultSchedulerConfig("batch"),
                         DefaultSchedulerConfig("service"));
     sim.Run();
@@ -85,85 +71,6 @@ std::vector<Row> RunMegaSweep(Duration horizon, int trials,
   });
 }
 
-// --------------------------------------------------------------------------
-// Placement-stress probe: the intra-trial scaling target (DESIGN.md §12).
-//
-// The day-long trials above are not scan-bound — the two-level summaries
-// (§11) prune their no-fit sweeps to near-nothing, so their wall-clock is
-// insensitive to intra_trial_threads. The regime where the sharded sweep
-// pays is a constraint-picky scan over a cell where raw fits pass everywhere
-// (summaries cannot prune) but only a sparse subset of machines satisfies
-// the job's attribute constraint: first-fit then walks thousands of futile
-// raw-fit hits per placement. This probe measures exactly that — 100k empty
-// machines, one matching machine per ~16k — and records its wall-clock in
-// BENCH_fig_mega.json (stress_wall_seconds), so running the binary once per
-// OMEGA_INTRA_TRIAL_THREADS value on a multicore host yields the scaling
-// curve. The placement checksum is thread-count-invariant (the FirstMatch
-// contract) and is pinned in the smoke golden, which CI re-checks at 2
-// threads.
-// --------------------------------------------------------------------------
-
-constexpr uint32_t kStressMachines = 100000;
-constexpr uint32_t kStressMatchStride = 16411;  // prime; ~6 matches per cell
-constexpr int kStressFullPlacements = 8192;
-constexpr int kStressSmokePlacements = 128;
-
-struct StressResult {
-  int64_t placed = 0;
-  uint64_t checksum = 0;  // FNV-1a over chosen machine ids
-  double wall_seconds = 0.0;
-};
-
-StressResult RunPlacementStress(uint32_t intra_threads, int placements) {
-  CellState cell(kStressMachines, Resources{16.0, 64.0});
-  cell.SetIntraTrialParallelism(intra_threads);
-  for (MachineId m = 0; m < kStressMachines; ++m) {
-    cell.mutable_machine(m).attributes = {m % kStressMatchStride == 7 ? 1 : 0};
-  }
-  RandomizedFirstFitPlacer placer(/*max_random_probes=*/0,
-                                  /*respect_constraints=*/true);
-  Job job;
-  job.task_resources = Resources{2.0, 8.0};
-  job.num_tasks = 1;
-  job.constraints.push_back(PlacementConstraint{
-      /*attribute_key=*/0, /*attribute_value=*/1, /*must_equal=*/true});
-  Rng rng(kMegaBaseSeed * 7919 + 17);
-  StressResult r;
-  r.checksum = 1469598103934665603ULL;
-  std::vector<TaskClaim> claims;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < placements; ++i) {
-    claims.clear();
-    r.placed += placer.PlaceTasks(cell, job, 1, rng, &claims);
-    for (const TaskClaim& c : claims) {
-      r.checksum = (r.checksum ^ c.machine) * 1099511628211ULL;
-    }
-    // Nothing is allocated, so the cell stays in the long-futile-scan regime
-    // for every placement and the probe is a pure scan measurement.
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  return r;
-}
-
-std::string FormatStress(const StressResult& r) {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "stress %lld %016llx",
-                static_cast<long long>(r.placed),
-                static_cast<unsigned long long>(r.checksum));
-  return buf;
-}
-
-void RecordStressMetrics(SweepRunner& runner, const StressResult& r) {
-  runner.report().AddMetric("stress_placements",
-                            static_cast<double>(r.placed));
-  runner.report().AddMetric("stress_wall_seconds", r.wall_seconds);
-  if (r.wall_seconds > 0.0) {
-    runner.report().AddMetric("stress_placements_per_second",
-                              static_cast<double>(r.placed) / r.wall_seconds);
-  }
-}
-
 std::string FormatTrial(const Row& r) {
   char buf[512];
   std::snprintf(buf, sizeof(buf), "%a %a %a %a %a %a %lld %lld", r.batch_wait,
@@ -179,21 +86,13 @@ std::vector<std::string> RunSmoke() {
   const std::vector<Row> rows = RunMegaSweep(
       Duration::FromDays(kSmokeHorizonDays), kSmokeTrials, runner);
   std::vector<std::string> lines;
-  lines.reserve(rows.size() + 1);
+  lines.reserve(rows.size());
   for (const Row& r : rows) {
     lines.push_back(FormatTrial(r));
   }
-  // The stress checksum is thread-count-invariant; checking it in CI at
-  // OMEGA_INTRA_TRIAL_THREADS=2 diffs the sharded constraint sweep against
-  // the sequential golden bit-for-bit.
-  const StressResult stress =
-      RunPlacementStress(BenchIntraTrialThreads(), kStressSmokePlacements);
-  lines.push_back(FormatStress(stress));
   std::cout << "fig_mega smoke: " << runner.report().trials << " trials on "
             << runner.report().threads << " thread(s) in "
-            << runner.report().wall_seconds << " s; stress probe "
-            << stress.placed << " placements in " << stress.wall_seconds
-            << " s\n";
+            << runner.report().wall_seconds << " s\n";
   return lines;
 }
 
@@ -208,9 +107,7 @@ int SmokeWrite(const std::string& path) {
       << kSmokeHorizonDays << " trials=" << kSmokeTrials
       << " base_seed=" << kMegaBaseSeed << "\n"
       << "# fields: batch_wait service_wait batch_busy service_busy "
-         "conflict_fraction cpu_utilization submitted abandoned (hex floats)\n"
-      << "# last line: constraint-sweep stress probe, `stress <placed> "
-         "<fnv1a-checksum-of-machine-ids>` (thread-count-invariant)\n";
+         "conflict_fraction cpu_utilization submitted abandoned (hex floats)\n";
   for (const std::string& line : lines) {
     out << line << "\n";
   }
@@ -286,19 +183,6 @@ int FullRun() {
   runner.report().AddMetric("batch_busy_mean", batch_busy.mean());
   runner.report().AddMetric("service_conflict_fraction_mean", conflict.mean());
 
-  const uint32_t intra_threads = BenchIntraTrialThreads();
-  const StressResult stress =
-      RunPlacementStress(intra_threads, kStressFullPlacements);
-  RecordStressMetrics(runner, stress);
-  char stress_line[256];
-  std::snprintf(stress_line, sizeof(stress_line),
-                "stress probe: %lld constraint-sweep placements over %u "
-                "machines at intra_trial_threads=%u in %.3f s "
-                "(checksum %016llx)\n",
-                static_cast<long long>(stress.placed), kStressMachines,
-                intra_threads, stress.wall_seconds,
-                static_cast<unsigned long long>(stress.checksum));
-  std::cout << stress_line;
   FinishSweep(runner);
   return 0;
 }

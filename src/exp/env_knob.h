@@ -1,6 +1,5 @@
 // Strict parsing of the benches' numeric environment knobs
-// (OMEGA_BENCH_DAYS, OMEGA_BENCH_THREADS, OMEGA_BENCH_SEED,
-// OMEGA_INTRA_TRIAL_THREADS).
+// (OMEGA_BENCH_DAYS, OMEGA_BENCH_THREADS, OMEGA_BENCH_SEED).
 //
 // A knob's value must be one base-10 number that spans the whole string,
 // is finite, and lies in the knob's [lo, hi] range; thread counts are capped

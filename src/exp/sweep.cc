@@ -62,7 +62,6 @@ std::string SweepReport::ToJson() const {
   AppendString(os, build_type);
   os << ",\n  \"base_seed\": " << base_seed;
   os << ",\n  \"threads\": " << threads;
-  os << ",\n  \"intra_trial_threads\": " << intra_trial_threads;
   os << ",\n  \"trials\": " << trials;
   os << ",\n  \"wall_seconds\": ";
   AppendNumber(os, wall_seconds);

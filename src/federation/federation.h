@@ -12,7 +12,7 @@
 // first-class events on one master discrete-event queue shared by every cell
 // (ClusterSimulation::UseSharedSimulator), so the N-cell interleaving is a
 // single deterministic event order: results are bit-identical for any sweep
-// thread count and any intra_trial_threads value. See DESIGN.md §13.
+// thread count. See DESIGN.md §13.
 #pragma once
 
 #include <cstdint>

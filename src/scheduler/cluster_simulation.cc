@@ -25,8 +25,6 @@ ClusterSimulation::ClusterSimulation(const ClusterConfig& config,
                  }(),
                  options.seed),
       rng_(options.seed ^ 0xabcdef1234567890ULL) {
-  cell_.SetIntraTrialParallelism(options.intra_trial_threads);
-  cell_.SetParallelCommitMinClaims(options.parallel_commit_min_claims);
   if (generator_options.generate_constraints) {
     MachineAttributeAssignment assignment;
     assignment.num_attribute_keys = generator_options.num_attribute_keys;

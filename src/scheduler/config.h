@@ -1,6 +1,7 @@
 // Scheduler and simulation configuration.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -84,24 +85,13 @@ struct SimOptions {
   // can select victims. Costs memory and a little time; off by default.
   bool track_running_tasks = false;
 
-  // Cohort batching (DESIGN.md §10) and SoA scans (§11) are the only paths;
-  // the names remain, unsettable, because perfbench echoes them.
+  // Cohort batching (DESIGN.md §10) and SoA scans (§11) are the only paths,
+  // and a trial always runs on one thread; the names remain, unsettable, at
+  // their former defaults because perfbench echoes them.
   static constexpr bool cohort_batching = true;
   static constexpr bool soa_cell = true;
-
-  // Intra-trial parallelism (DESIGN.md §12): worker threads the placement
-  // scans and Commit conflict pre-checks may use inside one trial. 1
-  // (default) keeps every path strictly sequential with no pool; 0 means
-  // hardware concurrency; >1 spawns that many lanes. Every emitted metric,
-  // seqnum, and trace byte is bit-identical at any value by construction
-  // (deterministic ordered reductions) — the knob only changes wall-clock.
-  uint32_t intra_trial_threads = 1;
-
-  // Transactions with fewer claims than this pre-check sequentially even
-  // when intra_trial_threads > 1 (a pool dispatch costs microseconds; small
-  // transactions are cheaper inline). Both branches produce bitwise-identical
-  // verdicts; differential tests lower this to force the parallel branch.
-  size_t parallel_commit_min_claims = 256;
+  static constexpr uint32_t intra_trial_threads = 1;
+  static constexpr size_t parallel_commit_min_claims = 256;
 
   // Machine failure injection. The paper's simulators do not model machine
   // failures ("these only generate a small load on the scheduler"); this

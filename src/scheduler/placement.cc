@@ -37,10 +37,6 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
     for (uint32_t probe = 0; probe < max_random_probes_; ++probe) {
       const MachineId m =
           range_.Nth(static_cast<uint32_t>(rng.NextBounded(num_machines)));
-      if (respect_constraints_ &&
-          !MachineSatisfiesConstraints(cell.machine(m), job)) {
-        continue;
-      }
       if (cell.CanFitWithPending(m, job.task_resources, pending.On(m))) {
         chosen = m;
         break;
@@ -52,74 +48,13 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
     // first machine accepted (and hence the placement) is unchanged. The scan
     // wraps at most once, so a block is re-summarized at most twice. The
     // unpruned reference scan lives in tests/reference_cell.h.
-    if (chosen == kInvalidMachineId && respect_constraints_ &&
-        cell.intra_trial_pool() != nullptr) {
-      // Sharded SoA sweep (DESIGN.md §12), engaged only under constraints:
-      // without them the sequential branch below touches O(summary consults
-      // + 1 hit) machines — the two-level pruning already removed the linear
-      // scan, so a pool dispatch can only add latency (measured ~16% on the
-      // mega-cell sweep). With constraints, raw-fit hits that fail the
-      // constraint re-check make the scan genuinely long, and sharding pays.
-      // This is the same wrapped scan as the
-      // sequential branch below — one RNG draw for the start offset, the
-      // segment [start, n) then the segment [0, start) — but each segment's
-      // first full-predicate match is found by a deterministic FirstMatch
-      // reduction over contiguous shards. The per-index predicate (raw fit,
-      // constraints, pending re-check) reads only shared state, so shards
-      // evaluate concurrently; the ordered merge returns the lowest matching
-      // index, which is exactly the machine the sequential sweep would
-      // accept first. Summaries are refreshed up front on this thread so
-      // workers scan with full pruning without writing anything.
-      const auto start = static_cast<uint32_t>(rng.NextBounded(num_machines));
-      cell.RefreshSummaries();
-      WorkerPool* pool = cell.intra_trial_pool();
-      auto scan_idx = [&](uint32_t idx_begin, uint32_t idx_end) -> size_t {
-        // Lowest range-relative index in [idx_begin, idx_end) — an ascending
-        // machine-id span — passing the full placement predicate.
-        MachineId from = range_.Nth(idx_begin);
-        const MachineId to = range_.Nth(idx_end);
-        while (from < to) {
-          const MachineId hit =
-              cell.FindFirstFitNoRefresh(from, to, job.task_resources);
-          if (hit == kInvalidMachineId) {
-            return kReduceNotFound;
-          }
-          if ((!respect_constraints_ ||
-               MachineSatisfiesConstraints(cell.machine(hit), job)) &&
-              cell.CanFitWithPending(hit, job.task_resources,
-                                     pending.On(hit))) {
-            return static_cast<size_t>(hit - range_.Nth(0));
-          }
-          from = hit + 1;
-        }
-        return kReduceNotFound;
-      };
-      auto sweep = [&](uint32_t seg_begin, uint32_t seg_end) -> size_t {
-        const size_t seg_n = seg_end - seg_begin;
-        if (seg_n == 0) {
-          return kReduceNotFound;
-        }
-        const size_t grain = ReduceGrain(seg_n, pool->concurrency());
-        return reducer_.FirstMatch(pool, seg_n, grain, [&](size_t b, size_t e) {
-          return scan_idx(seg_begin + static_cast<uint32_t>(b),
-                          seg_begin + static_cast<uint32_t>(e));
-        });
-      };
-      size_t idx = sweep(start, num_machines);
-      if (idx == kReduceNotFound) {
-        idx = sweep(0, start);
-      }
-      if (idx != kReduceNotFound) {
-        chosen = range_.Nth(static_cast<uint32_t>(idx));
-      }
-    } else if (chosen == kInvalidMachineId) {
+    if (chosen == kInvalidMachineId) {
       // SoA sweep: FindFirstFit walks the contiguous per-resource arrays
       // (with two-level summary pruning) and returns the first machine whose
       // raw allocation fits. Machines it skips fail CanFit outright, so they
       // would fail the reference scan's CanFitWithPending too (pending only
-      // shrinks availability) — candidates just need the constraint and
-      // pending re-checks, and a rejected candidate resumes the sweep at the
-      // next id.
+      // shrinks availability) — candidates just need the pending re-check,
+      // and a rejected candidate resumes the sweep at the next id.
       const auto start = static_cast<uint32_t>(rng.NextBounded(num_machines));
       for (uint32_t i = 0; i < num_machines;) {
         const uint32_t idx = (start + i) % num_machines;
@@ -132,11 +67,6 @@ uint32_t RandomizedFirstFitPlacer::PlaceTasks(const CellState& cell, const Job& 
           continue;
         }
         i += hit - m;
-        if (respect_constraints_ &&
-            !MachineSatisfiesConstraints(cell.machine(hit), job)) {
-          ++i;
-          continue;
-        }
         if (cell.CanFitWithPending(hit, job.task_resources, pending.On(hit))) {
           chosen = hit;
           break;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/cluster/cell_state.h"
-#include "src/common/deterministic_reduce.h"
 #include "src/common/random.h"
 #include "src/workload/job.h"
 
@@ -95,8 +94,6 @@ class PendingClaims {
 // attribute ids): the same scratch pattern as PendingClaims, replacing a
 // hot-path unordered_set with an array probe. Reset() is O(1); the arrays
 // grow on demand; negative keys are never stored and never contained.
-// Contains() is const and touches no mutable state, so concurrent reads from
-// pool workers are safe.
 class EpochFlagSet {
  public:
   void Reset() {
@@ -135,23 +132,16 @@ class RandomizedFirstFitPlacer final : public TaskPlacer {
  public:
   // `max_random_probes` bounds the random phase before the linear fallback.
   explicit RandomizedFirstFitPlacer(uint32_t max_random_probes = 32,
-                                    bool respect_constraints = false,
                                     MachineRange range = {})
-      : max_random_probes_(max_random_probes),
-        respect_constraints_(respect_constraints),
-        range_(range) {}
+      : max_random_probes_(max_random_probes), range_(range) {}
 
   uint32_t PlaceTasks(const CellState& cell, const Job& job, uint32_t count,
                       Rng& rng, std::vector<TaskClaim>* claims) override;
 
  private:
   uint32_t max_random_probes_;
-  bool respect_constraints_;
   MachineRange range_;
   PendingClaims pending_scratch_;
-  // Sharded phase-2 sweep scratch, engaged when the cell carries an
-  // intra-trial worker pool (DESIGN.md §12).
-  DeterministicReducer reducer_;
 };
 
 }  // namespace omega

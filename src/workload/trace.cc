@@ -302,6 +302,15 @@ class TraceParser {
           "malformed mapreduce record: activity duration above "
           "kMaxTraceMicros");
     }
+    if (mr.num_map_activities < 0 || mr.num_reduce_activities < 0) {
+      return Fail("malformed mapreduce record: negative activity count");
+    }
+    if (map_us < 0 || reduce_us < 0) {
+      return Fail("malformed mapreduce record: negative activity duration");
+    }
+    if (mr.requested_workers < 1) {
+      return Fail("malformed mapreduce record: workers must be at least 1");
+    }
     mr.map_activity_duration = Duration(map_us);
     mr.reduce_activity_duration = Duration(reduce_us);
     job->mapreduce = mr;

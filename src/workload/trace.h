@@ -47,6 +47,9 @@
 //   constraint for unknown job
 //   mapreduce spec for unknown job
 //   malformed mapreduce record: activity duration above kMaxTraceMicros
+//   malformed mapreduce record: negative activity count
+//   malformed mapreduce record: negative activity duration
+//   malformed mapreduce record: workers must be at least 1
 //
 // The writer formats integers in decimal and doubles as printf's %.17g (17
 // significant digits, enough to round-trip every double), so a trace it

@@ -1,5 +1,5 @@
 // Multi-cell federation (DESIGN.md §13): determinism differentials across
-// sweep threads and intra-trial threads, gossip-staleness edge cases,
+// sweep threads, gossip-staleness edge cases,
 // spillover end-to-end, and pinned digests for the shared queue's
 // equal-time edges.
 #include <gtest/gtest.h>
@@ -202,25 +202,6 @@ TEST(FederationDeterminismTest, BitIdenticalAcrossSweepThreads) {
   }
   // The trials are genuinely different runs, not copies of one stream.
   EXPECT_NE(on1[0].seqnum_sum, on1[1].seqnum_sum);
-}
-
-// Placement/commit parallelism inside each cell must not perturb anything —
-// counters, statistics, or the byte-exact trace stream.
-TEST(FederationDeterminismTest, BitIdenticalAcrossIntraTrialThreads) {
-  SimOptions sequential = BaseOptions(/*seed=*/5);
-  std::string trace_seq;
-  const FedResult a = RunFed(sequential, BaseFed(), &trace_seq);
-  EXPECT_FALSE(trace_seq.empty());
-  for (const uint32_t threads : {2u, 8u}) {
-    SCOPED_TRACE("intra_trial_threads=" + std::to_string(threads));
-    SimOptions sharded = sequential;
-    sharded.intra_trial_threads = threads;
-    sharded.parallel_commit_min_claims = 1;  // force the parallel pre-check
-    std::string trace_par;
-    const FedResult b = RunFed(sharded, BaseFed(), &trace_par);
-    ExpectSameResult(a, b);
-    EXPECT_EQ(trace_seq, trace_par) << "trace streams diverge";
-  }
 }
 
 // Gossip that is published but never delivered leaves the least-loaded router

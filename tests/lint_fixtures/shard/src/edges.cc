@@ -1,5 +1,5 @@
 // Call-graph edge cases for det-shard-unsafe-write: overload widening,
-// virtual dispatch, recursion termination, and WorkerPool::Run roots.
+// virtual dispatch, and recursion termination.
 #include <cstddef>
 
 namespace omega {
@@ -31,16 +31,11 @@ int CountDown(int n) {
   return acc;
 }
 
-int g_pool_state = 0;
-
-void EdgeCases(WorkerPool* pool, Base* shape) {
+void EdgeCases(Base* shape) {
   ParallelFor(4, [&](size_t i) {
     Touch(static_cast<int>(i));  // overload widening reaches the int body
     shape->Apply();              // virtual dispatch reaches Derived::Apply
     CountDown(3);                // recursion: must terminate, no finding
-  });
-  pool->Run(4, [&](size_t shard) {
-    g_pool_state += static_cast<int>(shard);  // WorkerPool::Run is a root too
   });
 }
 

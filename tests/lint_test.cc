@@ -226,12 +226,9 @@ TEST(LintShardSafety, CallGraphEdgeCases) {
   // Virtual dispatch: Base* -> Derived::Apply's member write.
   EXPECT_TRUE(HasFindingAt(findings, "det-shard-unsafe-write",
                            "src/edges.cc", 20));
-  // WorkerPool::Run callbacks are shard roots like ParallelFor's.
-  EXPECT_TRUE(HasFindingAt(findings, "det-shard-unsafe-write",
-                           "src/edges.cc", 43));
   // Recursion (CountDown) terminates the worklist and stays clean: the only
-  // edges.cc findings are the three pinned above.
-  EXPECT_EQ(CountFile(findings, "src/edges.cc"), 3);
+  // edges.cc findings are the two pinned above.
+  EXPECT_EQ(CountFile(findings, "src/edges.cc"), 2);
 }
 
 TEST(LintShardSafety, ShardSlotsFrameLocalsAndPerTrialObjectsAreClean) {

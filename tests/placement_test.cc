@@ -115,23 +115,6 @@ TEST(ConstraintTest, MissingAttributeKey) {
   EXPECT_TRUE(MachineSatisfiesConstraints(m, job));
 }
 
-TEST(ConstraintTest, RandomizedFirstFitRespectsConstraintsWhenAsked) {
-  CellState cell(16, kMachine);
-  for (MachineId m = 0; m < 16; ++m) {
-    cell.mutable_machine(m).attributes = {static_cast<int32_t>(m % 4)};
-  }
-  Job job = MakeJob(8, Resources{0.5, 0.5});
-  job.constraints = {{0, 2, true}};
-  RandomizedFirstFitPlacer placer(/*max_random_probes=*/8,
-                                  /*respect_constraints=*/true);
-  Rng rng(6);
-  std::vector<TaskClaim> claims;
-  EXPECT_EQ(placer.PlaceTasks(cell, job, 8, rng, &claims), 8u);
-  for (const TaskClaim& c : claims) {
-    EXPECT_EQ(c.machine % 4, 2u);
-  }
-}
-
 TEST(ScoringPlacerTest, PicksTightestFeasibleMachine) {
   CellState cell(4, kMachine);
   cell.EnableAvailabilityIndex();
@@ -200,79 +183,56 @@ TEST(ScoringPlacerDeathTest, CellWithoutIndexAborts) {
 // Differential test across utilization levels, including the near-full regime
 // where pruning actually fires: placements must be bit-identical to the
 // unpruned reference algorithm (tests/reference_cell.h) for the same RNG
-// stream, with and without constraints, with several tasks per call (so
-// pending claims stack), over the whole cell and over a partition, and with
-// the constrained sweep sharded over an intra-trial pool.
+// stream, with several tasks per call (so pending claims stack), over the
+// whole cell and over a partition.
 TEST(BlockPruningTest, PlacementsMatchUnprunedReferenceAcrossFills) {
   // > 3 blocks so whole-block skips happen; odd size so the last block is
   // partial.
   constexpr uint32_t kMachines = 3 * 64 + 17;
   Rng setup(77);
-  for (const uint32_t threads : {1u, 2u}) {
-    for (const double fill_fraction : {0.0, 0.5, 0.9, 0.97, 1.0}) {
-      CellState cell(kMachines, kMachine);
-      cell.SetIntraTrialParallelism(threads);
-      for (MachineId m = 0; m < kMachines; ++m) {
-        // Two attribute keys with a few values each, so constraints rule out
-        // a varying share of the cell.
-        cell.mutable_machine(m).attributes = {
-            static_cast<int32_t>(setup.NextBounded(3)),
-            static_cast<int32_t>(setup.NextBounded(5))};
+  for (const double fill_fraction : {0.0, 0.5, 0.9, 0.97, 1.0}) {
+    CellState cell(kMachines, kMachine);
+    const auto target =
+        static_cast<uint32_t>(fill_fraction * kMachines * 4.0);  // cpus
+    uint32_t filled = 0;
+    for (uint32_t attempt = 0; filled < target && attempt < kMachines * 64;
+         ++attempt) {
+      const auto m = static_cast<MachineId>(setup.NextBounded(kMachines));
+      if (cell.CanFit(m, Resources{1.0, 4.0})) {
+        cell.Allocate(m, Resources{1.0, 4.0});
+        ++filled;
       }
-      const auto target =
-          static_cast<uint32_t>(fill_fraction * kMachines * 4.0);  // cpus
-      uint32_t filled = 0;
-      for (uint32_t attempt = 0; filled < target && attempt < kMachines * 64;
-           ++attempt) {
-        const auto m = static_cast<MachineId>(setup.NextBounded(kMachines));
-        if (cell.CanFit(m, Resources{1.0, 4.0})) {
-          cell.Allocate(m, Resources{1.0, 4.0});
-          ++filled;
-        }
+    }
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+      Rng pick(seed * 7919);
+      // Inexact binary fractions, as the workload model produces.
+      const Resources task{
+          0.1 + 0.1 * static_cast<double>(pick.NextBounded(9)),
+          0.3 + 0.7 * static_cast<double>(pick.NextBounded(6))};
+      const Job job =
+          MakeJob(static_cast<uint32_t>(1 + pick.NextBounded(12)), task);
+      const auto probes = static_cast<uint32_t>(pick.NextBounded(9));
+      const MachineRange range =
+          pick.NextBool(0.3) ? MachineRange{30, 170} : MachineRange{};
+      RandomizedFirstFitPlacer placer(probes, range);
+      Rng rng_a(seed);
+      Rng rng_b(seed);
+      std::vector<TaskClaim> pruned;
+      std::vector<TaskClaim> unpruned;
+      const uint32_t na =
+          placer.PlaceTasks(cell, job, job.num_tasks, rng_a, &pruned);
+      const uint32_t nb = ReferenceFirstFit(cell, job, job.num_tasks, rng_b,
+                                            &unpruned, probes, range);
+      ASSERT_EQ(na, nb) << "fill " << fill_fraction << " seed " << seed;
+      ASSERT_EQ(pruned.size(), unpruned.size());
+      for (size_t i = 0; i < pruned.size(); ++i) {
+        EXPECT_EQ(pruned[i].machine, unpruned[i].machine)
+            << "fill " << fill_fraction << " seed " << seed << " task " << i;
+        EXPECT_EQ(pruned[i].seqnum_at_placement,
+                  unpruned[i].seqnum_at_placement);
       }
-      for (uint64_t seed = 1; seed <= 24; ++seed) {
-        Rng pick(seed * 7919);
-        // Inexact binary fractions, as the workload model produces.
-        const Resources task{
-            0.1 + 0.1 * static_cast<double>(pick.NextBounded(9)),
-            0.3 + 0.7 * static_cast<double>(pick.NextBounded(6))};
-        Job job = MakeJob(static_cast<uint32_t>(1 + pick.NextBounded(12)),
-                          task);
-        const bool constrained = pick.NextBool(0.7);
-        if (constrained) {
-          job.constraints.push_back(PlacementConstraint{
-              0, static_cast<int32_t>(pick.NextBounded(3)), true});
-          if (pick.NextBool(0.5)) {
-            job.constraints.push_back(PlacementConstraint{
-                1, static_cast<int32_t>(pick.NextBounded(5)), false});
-          }
-        }
-        const auto probes = static_cast<uint32_t>(pick.NextBounded(9));
-        const MachineRange range =
-            pick.NextBool(0.3) ? MachineRange{30, 170} : MachineRange{};
-        RandomizedFirstFitPlacer placer(probes, constrained, range);
-        Rng rng_a(seed);
-        Rng rng_b(seed);
-        std::vector<TaskClaim> pruned;
-        std::vector<TaskClaim> unpruned;
-        const uint32_t na =
-            placer.PlaceTasks(cell, job, job.num_tasks, rng_a, &pruned);
-        const uint32_t nb =
-            ReferenceFirstFit(cell, job, job.num_tasks, rng_b, &unpruned,
-                              probes, constrained, range);
-        ASSERT_EQ(na, nb) << "threads " << threads << " fill "
-                          << fill_fraction << " seed " << seed;
-        ASSERT_EQ(pruned.size(), unpruned.size());
-        for (size_t i = 0; i < pruned.size(); ++i) {
-          EXPECT_EQ(pruned[i].machine, unpruned[i].machine)
-              << "threads " << threads << " fill " << fill_fraction
-              << " seed " << seed << " task " << i;
-          EXPECT_EQ(pruned[i].seqnum_at_placement,
-                    unpruned[i].seqnum_at_placement);
-        }
-        // Same draws consumed: the streams stay in lockstep.
-        EXPECT_EQ(rng_a.Next(), rng_b.Next()) << "seed " << seed;
-      }
+      // Same draws consumed: the streams stay in lockstep.
+      EXPECT_EQ(rng_a.Next(), rng_b.Next()) << "seed " << seed;
     }
   }
 }
@@ -340,7 +300,7 @@ TEST(BlockPruningTest, PartitionedRangeStillScansOnlyItsPartition) {
       cell.Allocate(m, kMachine);
     }
   }
-  RandomizedFirstFitPlacer placer(/*max_random_probes=*/2, false,
+  RandomizedFirstFitPlacer placer(/*max_random_probes=*/2,
                                   MachineRange{100, 200});
   for (uint64_t seed = 1; seed <= 16; ++seed) {
     Rng rng(seed);

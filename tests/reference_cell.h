@@ -131,16 +131,13 @@ inline uint32_t ReferenceFirstFit(const CellState& cell, const Job& job,
                                   uint32_t count, Rng& rng,
                                   std::vector<TaskClaim>* claims,
                                   uint32_t max_random_probes = 32,
-                                  bool respect_constraints = false,
                                   MachineRange range = {}) {
   const uint32_t num_machines = range.SizeIn(cell.NumMachines());
   if (num_machines == 0 || count == 0) {
     return 0;
   }
   auto fits = [&](MachineId m, const PendingClaims& pending) {
-    return (!respect_constraints ||
-            MachineSatisfiesConstraints(cell.machine(m), job)) &&
-           cell.CanFitWithPending(m, job.task_resources, pending.On(m));
+    return cell.CanFitWithPending(m, job.task_resources, pending.On(m));
   };
   PendingClaims pending;
   uint32_t placed = 0;

@@ -5,9 +5,8 @@
 // Seeded random streams of single and batched allocations and frees and of
 // Commits in all four conflict x commit modes, with uniform (cohort-shaped)
 // and mixed-resource transactions, are driven through CellState and
-// ReferenceCell side by side, with the availability index on and off, under
-// both fullness policies, and with Commit's conflict pre-check sequential
-// and pooled. After every operation the two must agree
+// ReferenceCell side by side, with the availability index on and off and
+// under both fullness policies. After every operation the two must agree
 // bitwise on every machine's allocation and sequence number, on the totals,
 // and on each Commit's result and rejected claims.
 #include <gtest/gtest.h>
@@ -26,13 +25,11 @@ struct CellCase {
   uint64_t seed;
   bool index;
   FullnessPolicy fullness;
-  uint32_t threads;  // intra-trial lanes for the Commit pre-check
 };
 
 void PrintTo(const CellCase& c, std::ostream* os) {
   *os << "seed=" << c.seed << " index=" << c.index << " headroom="
-      << (c.fullness == FullnessPolicy::kHeadroom)
-      << " threads=" << c.threads;
+      << (c.fullness == FullnessPolicy::kHeadroom);
 }
 
 // 64-machine blocks: 150 machines span three blocks, the last one partial.
@@ -109,8 +106,6 @@ TEST_P(CellStateReferenceTest, RandomOpStreamsMatchReference) {
   if (c.index) {
     cell.EnableAvailabilityIndex(16);
   }
-  cell.SetIntraTrialParallelism(c.threads);
-  cell.SetParallelCommitMinClaims(1);  // pool every pooled Commit
   Rng rng(c.seed);
   std::vector<Live> live;
   int commits = 0;
@@ -214,10 +209,8 @@ std::vector<CellCase> CellCases() {
   for (const bool index : {false, true}) {
     for (const FullnessPolicy fullness :
          {FullnessPolicy::kExact, FullnessPolicy::kHeadroom}) {
-      for (const uint32_t threads : {1u, 2u}) {
-        for (int i = 0; i < 2; ++i) {
-          cases.push_back(CellCase{seed++, index, fullness, threads});
-        }
+      for (int i = 0; i < 4; ++i) {
+        cases.push_back(CellCase{seed++, index, fullness});
       }
     }
   }

@@ -19,7 +19,9 @@
 //   - a leading '+';
 //   - a negative job id, wrapped modulo 2^64 ("-1" is 2^64 - 1);
 //   - a submit time, task duration or MapReduce activity duration above
-//     kMaxTraceMicros, which the streaming reader rejects at the boundary.
+//     kMaxTraceMicros, which the streaming reader rejects at the boundary;
+//   - a MapReduce record with a negative activity count or activity
+//     duration, or fewer than one worker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -105,8 +107,9 @@ enum Tightening : unsigned {
   kLeadingPlus = 4,
   kNegativeJobId = 8,
   kTimePastBound = 16,
+  kMapReduceOutOfRange = 32,
 };
-constexpr unsigned kAllTightenings = 31;
+constexpr unsigned kAllTightenings = 63;
 
 bool Space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 bool Digit(char c) { return c >= '0' && c <= '9'; }
@@ -179,7 +182,8 @@ bool NumberLike(const std::string& s) {
 }
 
 // Field types per record kind: 'u' job id, 's' word, 'i' integer, 't' time
-// (an integer bounded by kMaxTraceMicros), 'd' double.
+// (an integer bounded by kMaxTraceMicros), 'd' double. The mapreduce fields
+// after the job id carry lower bounds as well, see MapReduceFloor.
 const char* FieldSpec(const std::string& kind) {
   if (kind == "job") {
     return "ustitdd";
@@ -192,6 +196,11 @@ const char* FieldSpec(const std::string& kind) {
   }
   return "";
 }
+
+// Smallest value the streaming reader accepts in mapreduce field `k` (0-based
+// after the kind): activity counts and durations are non-negative, and at
+// least one worker is requested. The reference reader has no lower bounds.
+long long MapReduceFloor(size_t k) { return k == 5 ? 1 : 0; }
 
 unsigned Tightenings(const std::string& line) {
   const std::vector<std::string> tokens = Tokens(line);
@@ -221,11 +230,15 @@ unsigned Tightenings(const std::string& line) {
     if (NumberLike(body) && !strict) {
       classes |= kPartlyNumeric;
     }
-    if (type == 't' && strict && body == tok) {
+    if (strict && body == tok && type != 'd') {
       errno = 0;
       const long long v = std::strtoll(tok.c_str(), nullptr, 10);
-      if (errno == 0 && v > kMaxTraceMicros) {
+      if (errno == 0 && type == 't' && v > kMaxTraceMicros) {
         classes |= kTimePastBound;
+      }
+      if (errno == 0 && tokens[0] == "mapreduce" && k > 0 &&
+          v < MapReduceFloor(k)) {
+        classes |= kMapReduceOutOfRange;
       }
     }
   }
@@ -622,7 +635,34 @@ INSTANTIATE_TEST_SUITE_P(
         NamedCase{"MapPastBound",
                   "job 1 batch 0 1 1 1 1\n"
                   "mapreduce 1 1 1 1152921504606846977 1 1\n",
-                  kTightened, kTimePastBound}),
+                  kTightened, kTimePastBound},
+        NamedCase{"MapCountZero",
+                  "job 1 batch 0 1 1 1 1\nmapreduce 1 0 0 1 1 1\n",
+                  kBothAccept, 0},
+        NamedCase{"MapCountNegative",
+                  "job 1 batch 0 1 1 1 1\nmapreduce 1 -1 0 1 1 1\n",
+                  kTightened, kMapReduceOutOfRange},
+        NamedCase{"ReduceCountNegative",
+                  "job 1 batch 0 1 1 1 1\nmapreduce 1 0 -1 1 1 1\n",
+                  kTightened, kMapReduceOutOfRange},
+        NamedCase{"ActivityDurationZero",
+                  "job 1 batch 0 1 1 1 1\nmapreduce 1 1 1 0 0 1\n",
+                  kBothAccept, 0},
+        NamedCase{"MapDurationNegative",
+                  "job 1 batch 0 1 1 1 1\nmapreduce 1 1 1 -1 0 1\n",
+                  kTightened, kMapReduceOutOfRange},
+        NamedCase{"ReduceDurationNegative",
+                  "job 1 batch 0 1 1 1 1\nmapreduce 1 1 1 0 -1 1\n",
+                  kTightened, kMapReduceOutOfRange},
+        NamedCase{"ZeroWorkers",
+                  "job 1 batch 0 1 1 1 1\nmapreduce 1 1 1 1 1 0\n",
+                  kTightened, kMapReduceOutOfRange},
+        NamedCase{"OneWorker",
+                  "job 1 batch 0 1 1 1 1\nmapreduce 1 1 1 1 1 1\n",
+                  kBothAccept, 0},
+        NamedCase{"NegativeMapReduce",
+                  "job 1 batch 0 1 1 1 1\nmapreduce 1 -4 2 -100 1 0\n",
+                  kTightened, kMapReduceOutOfRange}),
     [](const ::testing::TestParamInfo<NamedCase>& info) {
       return std::string(info.param.name);
     });

@@ -685,10 +685,10 @@ void Linter::CheckBannedIdentifiers(const FileData& f) {
 
 // Flags raw concurrency primitives (std::thread, std::mutex, std::atomic,
 // ...) in simulator code outside the sanctioned src/common/ wrappers. Thread
-// timing must never order results — all parallelism goes through ParallelFor
-// / WorkerPool / DeterministicReducer, whose ordered merges keep outputs
-// bit-identical at any thread count (DESIGN.md §12). Member accesses are
-// skipped so a field named `mutex` on a project type is not a finding.
+// timing must never order results — the only parallelism is ParallelFor /
+// ParallelForRanges over independent trials, each writing its own slot, so
+// outputs are bit-identical at any thread count. Member accesses are skipped
+// so a field named `mutex` on a project type is not a finding.
 void Linter::CheckParallelPrimitives(const FileData& f) {
   const std::vector<ScanToken> tokens = Tokenize(f.code_nostrings);
   for (size_t i = 0; i < tokens.size(); ++i) {
@@ -700,8 +700,8 @@ void Linter::CheckParallelPrimitives(const FileData& f) {
     AddFinding(f, LineAt(f.line_offsets, t.offset), "det-parallel-reduce",
                "raw concurrency primitive `" + t.text +
                    "` in simulator code: thread timing must not order "
-                   "results; use ParallelFor / WorkerPool / "
-                   "DeterministicReducer from src/common/ (DESIGN.md §12)");
+                   "results; run independent trials through ParallelFor / "
+                   "ParallelForRanges from src/common/parallel_for.h");
   }
 }
 

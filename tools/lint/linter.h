@@ -31,8 +31,7 @@
 // v2 flow-aware rules, built on the whole-project call-graph model
 // (tools/lint/model.h, DESIGN.md §14):
 //   det-shard-unsafe-write   a function transitively reachable from a
-//                            WorkerPool / DeterministicReducer::FirstMatch
-//                            / ParallelFor(Ranges) shard callback
+//                            ParallelFor(Ranges) shard callback
 //                            writes a member field, a global, or a
 //                            by-reference capture of a frame outside the
 //                            shard, except through an allowlisted per-shard
@@ -109,10 +108,9 @@ struct Config {
   // (std::thread, std::mutex, std::atomic, ...) in scheduler/placement logic
   // can order results by thread timing, breaking the bit-identical-at-any-
   // thread-count guarantee; all parallelism must go through the sanctioned
-  // wrappers — ParallelFor / WorkerPool / DeterministicReducer — which live
-  // under the exempt prefixes below (DESIGN.md §12). Tests may use
-  // primitives directly; bench/tool code needs an inline allow() with a
-  // justification.
+  // trial-level wrappers — ParallelFor / ParallelForRanges — which live
+  // under the exempt prefixes below. Tests may use primitives directly;
+  // bench/tool code needs an inline allow() with a justification.
   std::vector<std::string> parallel_scope = {"src/", "bench/", "tools/"};
   std::vector<std::string> parallel_exempt_prefixes = {"src/common/"};
 
@@ -123,15 +121,10 @@ struct Config {
 
   // Call names whose lambda (or named-lambda) arguments run as shard
   // callbacks on worker threads.
-  std::vector<std::string> shard_api_names = {"FirstMatch",
-                                              "ParallelForRanges",
+  std::vector<std::string> shard_api_names = {"ParallelForRanges",
                                               "ParallelFor"};
-  // `Run` is a shard API only when the receiver looks like a worker pool
-  // (WorkerPool::Run), so Simulator::Run is not a false root.
-  std::string pool_run_name = "Run";
-  std::string pool_receiver_hint = "pool";
   // Types through which per-shard writes are sanctioned: a ShardSlots view
-  // asserts disjoint per-index slots (src/common/deterministic_reduce.h).
+  // asserts disjoint per-index slots (src/common/parallel_for.h).
   std::vector<std::string> shard_scratch_types = {"ShardSlots"};
   // std:: container methods that mutate the receiver; calling one on a
   // shared receiver from shard-reachable code is a write.
