@@ -2,7 +2,7 @@
 // cell-state allocate/free, transaction commit under both conflict-detection
 // modes, the placement algorithms (including the randomized-first-fit vs
 // scoring-placer ablation from DESIGN.md), the event queue, a Mesos
-// allocation round, and the trace writer and reader.
+// allocation round, the trace writer and reader, and the initial fill.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
@@ -12,6 +12,7 @@
 #include "src/hifi/hifi_simulation.h"
 #include "src/hifi/scoring_placer.h"
 #include "src/mesos/mesos_simulation.h"
+#include "src/omega/omega_scheduler.h"
 #include "src/scheduler/placement.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
@@ -588,6 +589,26 @@ void BM_TraceRead(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * size);
 }
 BENCHMARK(BM_TraceRead)->Unit(benchmark::kMillisecond);
+
+// Trial set-up outside perfbench: constructing an Omega simulation of a
+// paper cluster and running PrepareRun with a one-day horizon, which samples
+// and places the standing population (length-biased rejection sampling) and
+// enqueues its task ends. Arg 0 is cluster A, 1 is cluster B.
+void BM_InitialFill(benchmark::State& state) {
+  const ClusterConfig config = state.range(0) == 0 ? ClusterA() : ClusterB();
+  SimOptions opts;
+  opts.horizon = Duration::FromDays(1);
+  opts.seed = BenchSeed(1);
+  size_t pending = 0;
+  for (auto _ : state) {
+    OmegaSimulation sim(config, opts, SchedulerConfig{}, SchedulerConfig{});
+    sim.PrepareRun();
+    pending = sim.sim().PendingEvents();
+    benchmark::DoNotOptimize(pending);
+  }
+  state.counters["pending_events"] = static_cast<double>(pending);
+}
+BENCHMARK(BM_InitialFill)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace omega

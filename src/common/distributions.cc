@@ -34,6 +34,12 @@ double LogNormalDist::Sample(Rng& rng) const {
   return std::exp(mu_ + sigma_ * z);
 }
 
+void LogNormalDist::Skip(Rng& rng) const {
+  // Sample's two Box-Muller uniforms.
+  rng.NextDouble();
+  rng.NextDouble();
+}
+
 double LogNormalDist::Mean() const { return std::exp(mu_ + 0.5 * sigma_ * sigma_); }
 
 BoundedParetoDist::BoundedParetoDist(double lo, double hi, double alpha)
@@ -132,6 +138,17 @@ double MixtureDist::Sample(Rng& rng) const {
   return components_.back().dist->Sample(rng);
 }
 
+void MixtureDist::Skip(Rng& rng) const {
+  const double u = rng.NextDouble();
+  for (const Component& c : components_) {
+    if (u <= c.weight) {
+      c.dist->Skip(rng);
+      return;
+    }
+  }
+  components_.back().dist->Skip(rng);
+}
+
 double MixtureDist::Mean() const {
   double mean = 0.0;
   double prev = 0.0;
@@ -151,6 +168,10 @@ ClampedDist::ClampedDist(std::shared_ptr<const Distribution> inner, double lo,
 
 double ClampedDist::Sample(Rng& rng) const {
   return std::clamp(inner_->Sample(rng), lo_, hi_);
+}
+
+double ClampedDist::UpperBound() const {
+  return std::min(hi_, inner_->UpperBound());
 }
 
 double ClampedDist::Mean() const {

@@ -8,6 +8,7 @@
 // where a parametric family does not fit.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -26,6 +27,16 @@ class Distribution {
   // Analytic (or approximated) mean of the distribution; used by tests and by
   // load calculations in the experiment harness.
   virtual double Mean() const = 0;
+
+  // A value no sample exceeds; +inf unless the family bounds it exactly.
+  virtual double UpperBound() const {
+    return std::numeric_limits<double>::infinity();
+  }
+
+  // Advances `rng` exactly as Sample would, without computing the sample.
+  // Lets a rejection sampler discard a try it can reject from the bound
+  // alone, keeping the stream bit-identical to sampling it.
+  virtual void Skip(Rng& rng) const { Sample(rng); }
 };
 
 // Constant value (degenerate distribution).
@@ -70,6 +81,7 @@ class LogNormalDist final : public Distribution {
   LogNormalDist(double mean, double sigma);
   double Sample(Rng& rng) const override;
   double Mean() const override;
+  void Skip(Rng& rng) const override;
 
   double mu() const { return mu_; }
   double sigma() const { return sigma_; }
@@ -128,6 +140,7 @@ class MixtureDist final : public Distribution {
 
   double Sample(Rng& rng) const override;
   double Mean() const override;
+  void Skip(Rng& rng) const override;
 
  private:
   std::vector<Component> components_;  // weights normalized to cumulative form
@@ -140,6 +153,8 @@ class ClampedDist final : public Distribution {
   ClampedDist(std::shared_ptr<const Distribution> inner, double lo, double hi);
   double Sample(Rng& rng) const override;
   double Mean() const override;
+  double UpperBound() const override;
+  void Skip(Rng& rng) const override { inner_->Skip(rng); }
 
  private:
   std::shared_ptr<const Distribution> inner_;

@@ -23,10 +23,23 @@ class Rng {
   static constexpr result_type max() { return ~0ULL; }
 
   uint64_t operator()() { return Next(); }
-  uint64_t Next();
 
-  // Uniform double in [0, 1).
-  double NextDouble();
+  // Inline: the workload generator and the placers draw millions of times
+  // per trial, and an out-of-line call costs as much as the draw itself.
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
+
+  // Uniform double in [0, 1): 53 random mantissa bits scaled down.
+  double NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
   // Uniform integer in [0, bound). `bound` must be > 0.
   uint64_t NextBounded(uint64_t bound);
@@ -41,6 +54,8 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   std::array<uint64_t, 4> state_;
 };
 

@@ -60,16 +60,20 @@ void ClusterSimulation::PlaceInitialFill() {
       cell_.Allocate(m, task.resources);
       const TaskClaim claim{m, task.resources, 0};
       const SimTime end = SimTime::Zero() + task.remaining;
+      // A task outliving the run gets no end event (it could never fire);
+      // its registry entry keeps kInvalidEventId, which cancels as a no-op.
       if (options_.track_running_tasks) {
         const uint64_t task_id =
-            registry_.Add(m, task.resources, task.precedence, 0);
-        const EventId eid = sim_->ScheduleAt(end, [this, claim, task_id] {
-          registry_.Remove(task_id);
-          cell_.Free(claim.machine, claim.resources);
-          OnTaskFreed();
-        });
-        registry_.SetEndEvent(task_id, eid);
-      } else {
+            registry_.Add(m, task.resources, task.precedence, kInvalidEventId);
+        if (end <= EndTime()) {
+          const EventId eid = sim_->ScheduleAt(end, [this, claim, task_id] {
+            registry_.Remove(task_id);
+            cell_.Free(claim.machine, claim.resources);
+            OnTaskFreed();
+          });
+          registry_.SetEndEvent(task_id, eid);
+        }
+      } else if (end <= EndTime()) {
         sim_->ScheduleAt(end, [this, claim] {
           cell_.Free(claim.machine, claim.resources);
           OnTaskFreed();
@@ -304,6 +308,11 @@ void ClusterSimulation::StartTasks(const Job& job,
       c.member_tasks.push_back(registry_.Add(claim.machine, claim.resources,
                                              job.precedence, 0, cohort));
     }
+  }
+  // A cohort outliving the run keeps kInvalidEventId: RemoveMember hands that
+  // back when its last member is evicted, and nothing is cancelled.
+  if (end > EndTime()) {
+    return;
   }
   c.end_event = sim_->ScheduleAt(end, [this, cohort] { FinishCohort(cohort); });
 }

@@ -85,9 +85,27 @@ WorkloadGenerator::InitialTask WorkloadGenerator::SampleInitialTask() {
   // of observing a task in the standing population is proportional to its
   // duration. Rejection sampling against d/d_cap implements the bias.
   constexpr double kCapSecs = 30.0 * 86400.0;
+  constexpr int kMaxTries = 256;
+  const Distribution& duration = *params.task_duration_secs;
+  // When every duration is below the cap, a try whose acceptance uniform
+  // clears bound/cap is rejected whatever its duration: probe the try on a
+  // copy of the stream (Skip draws what Sample would) and keep the advanced
+  // copy, skipping the log/cos/exp. The last try is always sampled, since a
+  // fully rejected loop keeps its duration.
+  const double accept_bound = duration.UpperBound() / kCapSecs;
+  const bool can_fast_reject = accept_bound < 1.0;
   double duration_secs = 0.0;
-  for (int tries = 0; tries < 256; ++tries) {
-    const double d = params.task_duration_secs->Sample(rng_);
+  for (int tries = 0; tries < kMaxTries; ++tries) {
+    if (can_fast_reject && tries + 1 < kMaxTries) {
+      // omega-lint: allow(det-rng-substream) — rng_'s own stream, read ahead
+      Rng probe = rng_;
+      duration.Skip(probe);
+      if (probe.NextDouble() >= accept_bound) {
+        rng_ = probe;
+        continue;
+      }
+    }
+    const double d = duration.Sample(rng_);
     if (rng_.NextDouble() < std::min(1.0, d / kCapSecs)) {
       duration_secs = d;
       break;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 namespace omega {
 namespace {
@@ -143,6 +147,95 @@ TEST(MixtureDistTest, UnnormalizedWeightsNormalize) {
   MixtureDist d({{2.0, std::make_shared<ConstantDist>(4.0)},
                  {6.0, std::make_shared<ConstantDist>(8.0)}});
   EXPECT_NEAR(d.Mean(), 0.25 * 4.0 + 0.75 * 8.0, 1e-9);
+}
+
+
+// Skip must advance the stream exactly as Sample does (the initial fill's
+// fast reject relies on it to stay bit-identical), and no sample may exceed
+// UpperBound(). Every family is covered, including mixtures of clamped
+// components and clamps of mixtures, at several seeds and parameters.
+struct BoundCase {
+  std::string name;
+  std::shared_ptr<const Distribution> dist;
+};
+
+std::vector<BoundCase> AllFamilies() {
+  auto lognormal = [](double mean, double sigma) {
+    return std::make_shared<LogNormalDist>(mean, sigma);
+  };
+  auto clamp = [](std::shared_ptr<const Distribution> d, double lo, double hi) {
+    return std::make_shared<ClampedDist>(std::move(d), lo, hi);
+  };
+  std::vector<BoundCase> cases = {
+      {"constant", std::make_shared<ConstantDist>(3.5)},
+      {"uniform", std::make_shared<UniformDist>(2.0, 10.0)},
+      {"exponential", std::make_shared<ExponentialDist>(7.0)},
+      {"lognormal_narrow", lognormal(5.0, 0.5)},
+      {"lognormal_wide", lognormal(300.0, 1.8)},
+      {"pareto", std::make_shared<BoundedParetoDist>(1.0, 3000.0, 0.92)},
+      {"empirical",
+       std::make_shared<EmpiricalDist>(std::vector<EmpiricalDist::Point>{
+           {1.0, 0.25}, {2.0, 0.5}, {10.0, 1.0}})},
+      {"clamped_lognormal", clamp(lognormal(300.0, 1.8), 5.0, 43200.0)},
+      {"clamped_clamped",
+       clamp(clamp(lognormal(10.0, 2.0), 1.0, 50.0), 0.0, 20.0)},
+      {"clamped_pareto",
+       clamp(std::make_shared<BoundedParetoDist>(1.0, 100.0, 1.5), 2.0, 40.0)},
+  };
+  cases.push_back(
+      {"mixture_of_clamped",
+       std::make_shared<MixtureDist>(std::vector<MixtureDist::Component>{
+           {0.2, clamp(lognormal(5.0e6, 1.0), 600.0, 1.0e7)},
+           {0.5, clamp(lognormal(4.0e4, 1.5), 60.0, 7200.0)},
+           {0.3, std::make_shared<ConstantDist>(42.0)}})});
+  cases.push_back(
+      {"clamped_mixture",
+       clamp(std::make_shared<MixtureDist>(std::vector<MixtureDist::Component>{
+                 {0.2, lognormal(60.0 * 86400.0, 1.0)},
+                 {0.8, lognormal(12.0 * 3600.0, 1.5)}}),
+             600.0, 120.0 * 86400.0)});
+  return cases;
+}
+
+std::array<uint64_t, 4> NextFour(Rng rng) {
+  return {rng.Next(), rng.Next(), rng.Next(), rng.Next()};
+}
+
+TEST(DistributionSkipTest, SkipConsumesExactlyWhatSampleDoes) {
+  for (const BoundCase& c : AllFamilies()) {
+    for (uint64_t seed : {1u, 77u, 4242u}) {
+      Rng sampled(seed);
+      Rng skipped(seed);
+      for (int i = 0; i < 2000; ++i) {
+        c.dist->Sample(sampled);
+        c.dist->Skip(skipped);
+        ASSERT_EQ(NextFour(sampled), NextFour(skipped))
+            << c.name << " seed " << seed << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(DistributionSkipTest, NoSampleExceedsUpperBound) {
+  for (const BoundCase& c : AllFamilies()) {
+    const double bound = c.dist->UpperBound();
+    for (uint64_t seed : {2u, 99u}) {
+      Rng rng(seed);
+      for (int i = 0; i < 100000; ++i) {
+        const double x = c.dist->Sample(rng);
+        ASSERT_LE(x, bound) << c.name << " seed " << seed << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(DistributionSkipTest, ClampBoundIsTheTighterOfItsAndItsInners) {
+  auto lognormal = std::make_shared<LogNormalDist>(300.0, 1.8);
+  EXPECT_EQ(lognormal->UpperBound(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(ClampedDist(lognormal, 5.0, 43200.0).UpperBound(), 43200.0);
+  auto inner = std::make_shared<ClampedDist>(lognormal, 0.0, 10.0);
+  EXPECT_EQ(ClampedDist(inner, 0.0, 20.0).UpperBound(), 10.0);
+  EXPECT_EQ(ClampedDist(inner, 0.0, 5.0).UpperBound(), 5.0);
 }
 
 }  // namespace

@@ -22,6 +22,37 @@ int64_t TotalScheduled(OmegaSimulation& sim) {
   return n;
 }
 
+// The initial fill enqueues an end event only for the tasks that end inside
+// the horizon (one that ends later could never fire). After PrepareRun the
+// queue holds exactly those ends plus the two arrival chains. The count pins
+// the queue's starting depth as a deterministic work count: most of cluster
+// B's standing population outlives a day.
+TEST(OmegaTest, PrepareRunEnqueuesNoTaskEndPastTheHorizon) {
+  SimOptions opts;
+  opts.horizon = Duration::FromDays(1);
+  opts.seed = 1;
+  OmegaSimulation plain(ClusterB(), opts, SchedulerConfig{}, SchedulerConfig{});
+  plain.PrepareRun();
+  EXPECT_EQ(plain.sim().PendingEvents(), 15413u);
+
+  // The same fill with the registry on: every task is registered, and those
+  // without an end event are exactly the ones the queue does not hold.
+  opts.track_running_tasks = true;
+  OmegaSimulation tracked(ClusterB(), opts, SchedulerConfig{},
+                          SchedulerConfig{});
+  tracked.PrepareRun();
+  size_t with_end = 0;
+  for (MachineId m = 0; m < tracked.cell().NumMachines(); ++m) {
+    for (const RunningTask& t : tracked.task_registry().TasksOn(m)) {
+      with_end += t.end_event != kInvalidEventId ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(tracked.sim().PendingEvents(), with_end + 2);
+  EXPECT_EQ(tracked.sim().PendingEvents(), plain.sim().PendingEvents());
+  // 71,793 standing tasks; 56,382 of them outlive the day.
+  EXPECT_EQ(tracked.task_registry().NumRunning(), 71793u);
+}
+
 TEST(OmegaTest, SchedulesWholeWorkload) {
   OmegaSimulation sim(TestCluster(), ShortRun(), SchedulerConfig{},
                       SchedulerConfig{});

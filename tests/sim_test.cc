@@ -158,27 +158,47 @@ TEST(EventQueueTest, IdsAreUniqueAcrossSlotReuse) {
 }
 
 // Differential regression against a trivially correct reference model: the
-// slab/heap implementation must pop the exact same (time, insertion-order)
-// sequence as the seed's lazy-tombstone queue under randomized push/cancel/pop
-// interleavings, with matching Cancel results and pending counts throughout.
+// slab/heap implementation must pop the exact same (time, lane,
+// insertion-order) sequence as an unordered list scanned for its minimum,
+// under randomized push/cancel/pop interleavings, with matching Cancel results
+// and pending counts throughout. Lanes span the federation's range (front
+// door plus 64 cells); half the times fall in a narrow window so ties on time
+// and lane are common, half over a span of ~2^40 us so the heap is deep and
+// unordered.
 TEST(EventQueueTest, MatchesReferenceModelUnderRandomizedInterleavings) {
   struct RefEvent {
     int64_t time;
+    uint32_t lane;
     uint64_t seq;
     EventId id;
+  };
+  auto before = [](const RefEvent& a, const RefEvent& b) {
+    if (a.time != b.time) {
+      return a.time < b.time;
+    }
+    if (a.lane != b.lane) {
+      return a.lane < b.lane;
+    }
+    return a.seq < b.seq;
   };
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     EventQueue q;
     std::vector<RefEvent> ref;  // live events, unordered
     std::vector<EventId> issued;
     uint64_t next_seq = 0;
+    uint64_t fired_seq = 0;  // each callback reports its insertion order
     Rng rng(seed);
     for (int step = 0; step < 20000; ++step) {
       const double roll = rng.NextDouble();
       if (roll < 0.5 || ref.empty()) {
-        const auto t = static_cast<int64_t>(rng.NextBounded(50));
-        const EventId id = q.Push(SimTime(t), [] {});
-        ref.push_back(RefEvent{t, next_seq++, id});
+        const auto t = static_cast<int64_t>(rng.NextBool(0.5)
+                                                ? rng.NextBounded(50)
+                                                : rng.NextBounded(1ull << 40));
+        const auto lane = static_cast<uint32_t>(rng.NextBounded(66));
+        const uint64_t seq = next_seq++;
+        const EventId id =
+            q.Push(SimTime(t), lane, [&fired_seq, seq] { fired_seq = seq; });
+        ref.push_back(RefEvent{t, lane, seq, id});
         issued.push_back(id);
       } else if (roll < 0.75) {
         // Cancel a random issued id (live, fired, or already cancelled).
@@ -194,32 +214,35 @@ TEST(EventQueueTest, MatchesReferenceModelUnderRandomizedInterleavings) {
         }
         EXPECT_EQ(q.Cancel(id), ref_live);
       } else {
-        // Pop: must match the reference minimum by (time, seq).
+        // Pop: must match the reference minimum by (time, lane, seq).
         size_t best = 0;
         for (size_t i = 1; i < ref.size(); ++i) {
-          if (ref[i].time < ref[best].time ||
-              (ref[i].time == ref[best].time && ref[i].seq < ref[best].seq)) {
+          if (before(ref[i], ref[best])) {
             best = i;
           }
         }
         EXPECT_EQ(q.PeekTime(), SimTime(ref[best].time));
         SimTime when;
-        q.Pop(&when);
+        uint32_t lane = ~0u;
+        q.Pop(&when, &lane)();
         EXPECT_EQ(when, SimTime(ref[best].time));
+        EXPECT_EQ(lane, ref[best].lane);
+        EXPECT_EQ(fired_seq, ref[best].seq);
         ref[best] = ref.back();
         ref.pop_back();
       }
       ASSERT_EQ(q.PendingCount(), ref.size()) << "step " << step;
       ASSERT_EQ(q.Empty(), ref.empty());
     }
-    // Drain: remaining pops must come out in exact (time, seq) order.
-    std::sort(ref.begin(), ref.end(), [](const RefEvent& a, const RefEvent& b) {
-      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-    });
+    // Drain: remaining pops must come out in exact (time, lane, seq) order.
+    std::sort(ref.begin(), ref.end(), before);
     for (const RefEvent& e : ref) {
       SimTime when;
-      q.Pop(&when);
+      uint32_t lane = ~0u;
+      q.Pop(&when, &lane)();
       EXPECT_EQ(when, SimTime(e.time));
+      EXPECT_EQ(lane, e.lane);
+      EXPECT_EQ(fired_seq, e.seq);
     }
     EXPECT_TRUE(q.Empty());
   }

@@ -6,6 +6,8 @@
 
 #include "src/workload/characterization.h"
 #include "src/workload/cluster_config.h"
+#include "tests/bitwise_eq.h"
+#include "tests/reference_generator.h"
 
 namespace omega {
 namespace {
@@ -195,6 +197,63 @@ TEST(GeneratorTest, InitialTasksMostlyLongLived) {
   // Length-biased sampling: a solid fraction of the standing population
   // remains beyond a day (the long-lived service stock).
   EXPECT_GT(longer_than_day, n / 4);
+}
+
+// Draws `n` initial tasks from a generator and from the reference loop on the
+// same seed; every field must match bit for bit, and both streams must end in
+// the same state.
+void ExpectInitialTasksMatchReference(const ClusterConfig& config,
+                                      uint64_t seed, int n) {
+  WorkloadGenerator gen(config, {}, seed);
+  Rng ref_rng(seed);
+  for (int i = 0; i < n; ++i) {
+    const auto got = gen.SampleInitialTask();
+    const auto want = ReferenceSampleInitialTask(config, ref_rng);
+    ASSERT_TRUE(SameBits(got.resources.cpus, want.resources.cpus))
+        << config.name << " seed " << seed << " task " << i;
+    ASSERT_TRUE(SameBits(got.resources.mem_gb, want.resources.mem_gb))
+        << config.name << " seed " << seed << " task " << i;
+    ASSERT_EQ(got.precedence, want.precedence)
+        << config.name << " seed " << seed << " task " << i;
+    ASSERT_EQ(got.remaining.micros(), want.remaining.micros())
+        << config.name << " seed " << seed << " task " << i;
+  }
+  EXPECT_EQ(gen.rng().Next(), ref_rng.Next())
+      << config.name << " seed " << seed;
+}
+
+TEST(GeneratorTest, InitialTasksMatchReferenceSampler) {
+  for (const ClusterConfig& config :
+       {ClusterA(), ClusterB(), ClusterC(), ClusterD(), ClusterMega()}) {
+    for (uint64_t seed : {1u, 42u, 4242u}) {
+      ExpectInitialTasksMatchReference(config, seed, 20000);
+    }
+  }
+}
+
+TEST(GeneratorTest, InitialTasksMatchReferenceWithoutFastReject) {
+  // An unbounded batch duration, and one bounded above the 30-day cap: the
+  // fast reject stays off and every try is sampled.
+  ClusterConfig unbounded = ClusterB();
+  unbounded.name = "unbounded";
+  unbounded.batch.task_duration_secs =
+      std::make_shared<LogNormalDist>(300.0, 1.8);
+  ClusterConfig above_cap = ClusterB();
+  above_cap.name = "above_cap";
+  above_cap.batch.task_duration_secs = std::make_shared<ClampedDist>(
+      std::make_shared<LogNormalDist>(86400.0, 2.0), 5.0, 60.0 * 86400.0);
+  // A bound so far below the cap that nearly every task runs all 256 tries
+  // and keeps its last, sampled draw.
+  ClusterConfig tiny = ClusterB();
+  tiny.name = "tiny";
+  tiny.batch.task_duration_secs = std::make_shared<ClampedDist>(
+      std::make_shared<LogNormalDist>(10.0, 1.0), 1.0, 100.0);
+  tiny.service.task_duration_secs = tiny.batch.task_duration_secs;
+  for (const ClusterConfig& config : {unbounded, above_cap, tiny}) {
+    for (uint64_t seed : {3u, 77u}) {
+      ExpectInitialTasksMatchReference(config, seed, 5000);
+    }
+  }
 }
 
 TEST(MachineAttributesTest, DeterministicAndInRange) {
