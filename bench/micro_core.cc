@@ -469,6 +469,91 @@ void BM_PerTaskFree(benchmark::State& state) {
 }
 BENCHMARK(BM_PerTaskFree)->Arg(50)->Arg(85)->Arg(95)->Arg(99);
 
+// The Omega transaction's uniform path at the sizes Omega batch jobs commit:
+// `n` identical claims on random machines of a 12k-machine cell (cluster B's
+// size), committed fine-grained and incrementally. Commit groups the claims
+// per machine in ascending order (DESIGN.md §10), sorting them up to 23
+// claims on this cell and counting them from 24; the sizes straddle that
+// switch. The undo between iterations is untimed.
+constexpr uint32_t kTxnCellMachines = 12000;
+
+std::vector<TaskClaim> UniformClaims(const CellState& cell, int64_t n,
+                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<TaskClaim> claims;
+  for (int64_t i = 0; i < n; ++i) {
+    const auto m = static_cast<MachineId>(rng.NextBounded(kTxnCellMachines));
+    claims.push_back(TaskClaim{m, kTask, cell.machine(m).seqnum});
+  }
+  return claims;
+}
+
+void BM_CommitUniform(benchmark::State& state) {
+  CellState cell(kTxnCellMachines, kMachine);
+  const std::vector<TaskClaim> claims =
+      UniformClaims(cell, state.range(0), BenchSeed(12));
+  for (auto _ : state) {
+    const CommitResult r = cell.Commit(claims, ConflictMode::kFineGrained,
+                                       CommitMode::kIncremental);
+    benchmark::DoNotOptimize(r);
+    state.PauseTiming();
+    for (const TaskClaim& c : claims) {
+      cell.Free(c.machine, c.resources);
+    }
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CommitUniform)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(24)
+    ->Arg(32)
+    ->Arg(48)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(512)
+    ->Arg(3000);
+
+// A cohort's shared end event, as the harness fires it: `n` tasks of one job
+// committed and started together (untimed), then the timed pop of their one
+// end event, which runs FinishCohort and frees the members per machine.
+void BM_FinishCohort(benchmark::State& state) {
+  SimOptions options;
+  options.seed = BenchSeed(13);
+  OmegaSimulation sim(TestCluster(kTxnCellMachines), options, SchedulerConfig{},
+                      SchedulerConfig{});
+  Job job;
+  job.id = 1;
+  job.num_tasks = static_cast<uint32_t>(state.range(0));
+  job.task_duration = Duration::FromSeconds(1);
+  job.task_resources = kTask;
+  const std::vector<TaskClaim> claims =
+      UniformClaims(sim.cell(), state.range(0), BenchSeed(13));
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim.cell().Commit(claims, ConflictMode::kFineGrained,
+                      CommitMode::kIncremental);
+    sim.StartTasks(job, claims);
+    const SimTime end = sim.sim().Now() + job.task_duration;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(sim.sim().RunUntil(end));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FinishCohort)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(24)
+    ->Arg(32)
+    ->Arg(48)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(512)
+    ->Arg(3000);
+
 void BM_SimulatorThroughput(benchmark::State& state) {
   for (auto _ : state) {
     Simulator sim;

@@ -1,7 +1,9 @@
 #include "src/cluster/cell_state.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -175,25 +177,6 @@ MachineId CellState::FindFirstFit(MachineId begin, MachineId end,
     id = block_end;
   }
   return kInvalidMachineId;
-}
-
-Resources CellState::UsableCapacity(MachineId id) const {
-  const Machine& m = machines_[id];
-  if (fullness_ == FullnessPolicy::kExact) {
-    return m.capacity;
-  }
-  return m.capacity * (1.0 - headroom_fraction_);
-}
-
-bool CellState::CanFit(MachineId id, const Resources& request) const {
-  return CanFitWithPending(id, request, Resources::Zero());
-}
-
-bool CellState::CanFitWithPending(MachineId id, const Resources& request,
-                                  const Resources& extra) const {
-  const Machine& m = machines_[id];
-  const Resources used = m.allocated + extra + request;
-  return used.FitsIn(UsableCapacity(id));
 }
 
 void CellState::Allocate(MachineId id, const Resources& request_ref) {
@@ -514,10 +497,10 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
   // (DESIGN.md §10); mixed-resource transactions and the order-sensitive
   // availability index keep the per-claim path.
   if (uniform_resources && !HasAvailabilityIndex()) {
-    commit_scratch_.clear();
+    group_ids_.clear();
     for (size_t i = 0; i < claims.size(); ++i) {
       if (accept[i] != 0) {
-        commit_scratch_.push_back(claims[i].machine);
+        group_ids_.push_back(claims[i].machine);
         ++result.accepted;
       } else {
         ++result.conflicted;
@@ -526,16 +509,8 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
         }
       }
     }
-    std::sort(commit_scratch_.begin(), commit_scratch_.end());
-    for (size_t i = 0; i < commit_scratch_.size();) {
-      size_t j = i + 1;
-      while (j < commit_scratch_.size() &&
-             commit_scratch_[j] == commit_scratch_[i]) {
-        ++j;
-      }
-      AllocateBatch(commit_scratch_[i], claims[0].resources,
-                    static_cast<uint32_t>(j - i));
-      i = j;
+    for (const MachineRun& run : grouper_.Group(group_ids_)) {
+      AllocateBatch(run.machine, claims[0].resources, run.count);
     }
   } else {
     for (size_t i = 0; i < claims.size(); ++i) {
@@ -554,6 +529,73 @@ CommitResult CellState::Commit(std::span<const TaskClaim> claims,
     commit_observer_(claims, result);
   }
   return result;
+}
+
+void CellState::FreeCohort(std::span<const TaskClaim> members,
+                           const Resources& per_task) {
+  if (HasAvailabilityIndex()) {
+    // Bucket-list permutations are order-sensitive; replay per-member frees
+    // in member order.
+    for (const TaskClaim& claim : members) {
+      Free(claim.machine, claim.resources);
+    }
+    return;
+  }
+  // Grouping reorders frees across machines, which is state-identical
+  // because members share per-task resources (DESIGN.md §10).
+  group_ids_.clear();
+  for (const TaskClaim& claim : members) {
+    group_ids_.push_back(claim.machine);
+  }
+  for (const MachineRun& run : grouper_.Group(group_ids_)) {
+    FreeBatch(run.machine, per_task, run.count);
+  }
+}
+
+std::span<const MachineRun> MachineGrouper::Group(std::span<MachineId> ids) {
+  runs_.clear();
+  if (ids.size() > kAlwaysSort) {
+    const auto [lo, hi] = std::minmax_element(ids.begin(), ids.end());
+    if (Counts(ids.size(), *hi / 64 - *lo / 64 + 1)) {
+      CountRuns(ids, *lo, *hi);
+      return runs_;
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  for (size_t i = 0; i < ids.size();) {
+    size_t j = i + 1;
+    while (j < ids.size() && ids[j] == ids[i]) {
+      ++j;
+    }
+    runs_.push_back(MachineRun{ids[i], static_cast<uint32_t>(j - i)});
+    i = j;
+  }
+  return runs_;
+}
+
+void MachineGrouper::CountRuns(std::span<const MachineId> ids, MachineId lo,
+                               MachineId hi) {
+  if (hi >= count_.size()) {
+    count_.resize(static_cast<size_t>(hi) + 1, 0);
+    touched_.resize(hi / 64 + 1, 0);
+  }
+  for (const MachineId id : ids) {
+    ++count_[id];
+    touched_[id / 64] |= uint64_t{1} << (id % 64);
+  }
+  // Ascending read-back; every touched word and count is re-zeroed on the
+  // way.
+  for (size_t w = lo / 64; w <= hi / 64; ++w) {
+    if (touched_[w] == 0) {
+      continue;
+    }
+    for (uint64_t bits = std::exchange(touched_[w], 0); bits != 0;
+         bits &= bits - 1) {
+      const auto id = static_cast<MachineId>(
+          w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+      runs_.push_back(MachineRun{id, std::exchange(count_[id], 0)});
+    }
+  }
 }
 
 double CellState::CpuUtilization() const {

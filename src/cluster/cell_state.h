@@ -8,6 +8,7 @@
 // and either incremental or all-or-nothing (gang) acceptance semantics (§5.2).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -68,6 +69,53 @@ std::vector<TaskClaim> ReconstructAcceptedClaims(
     std::span<const TaskClaim> claims, std::span<const TaskClaim> rejected,
     int expected_accepted);
 
+// `count` ids equal to `machine`: one entry of a grouped id list.
+struct MachineRun {
+  MachineId machine;
+  uint32_t count;
+};
+
+// Groups a list of machine ids into (machine, count) runs in ascending
+// machine order: the same runs, in the same order, as std::sort followed by
+// run-length encoding. CellState::Commit and CellState::FreeCohort are its
+// users. The order is observable (the mutation hook sees one call per run,
+// and the Mesos allocator's lock order follows it), so it is ascending, not
+// first-seen. A list is either sorted in place (so `ids` may come back
+// reordered) or counted into a dense per-machine array with a bitmap of
+// touched ids, then read back one 64-id word at a time from its smallest id
+// to its largest: O(n + span / 64) with no sort. Counting pays per word of
+// span, sorting per comparison, so Counts() picks by both the length and the
+// span (DESIGN.md §10). The scratch grows to the largest id seen and is left
+// zeroed between calls, so a warm grouper allocates nothing. The returned
+// span is valid until the next Group call.
+class MachineGrouper {
+ public:
+  // Lists this short are always sorted: std::sort is a plain insertion sort
+  // up to 16 elements (libstdc++'s threshold), and counting never beat it
+  // there, even over a 47-word span.
+  static constexpr size_t kAlwaysSort = 16;
+
+  // Whether Group counts, rather than sorts, `n` ids whose read-back covers
+  // `words` 64-id words. Measured (EXPERIMENTS.md, "Choosing between sort
+  // and count"): one comparison of a sort costs about two words of
+  // read-back, so counting wins once 2 * n * floor(log2(n)) exceeds the words.
+  static bool Counts(size_t n, size_t words) {
+    return n > kAlwaysSort &&
+           2 * n * static_cast<size_t>(std::bit_width(n) - 1) > words;
+  }
+
+  std::span<const MachineRun> Group(std::span<MachineId> ids);
+
+ private:
+  // The counting path: appends the runs of `ids`, whose extremes are `lo`
+  // and `hi`, to runs_.
+  void CountRuns(std::span<const MachineId> ids, MachineId lo, MachineId hi);
+
+  std::vector<uint32_t> count_;    // per machine id; all zero between calls
+  std::vector<uint64_t> touched_;  // one bit per machine id; likewise
+  std::vector<MachineRun> runs_;
+};
+
 class CellState {
  public:
   // Builds a homogeneous cell of `num_machines` machines with the given
@@ -91,15 +139,27 @@ class CellState {
   double headroom_fraction() const { return headroom_fraction_; }
 
   // Effective capacity a claim may use on `id` under the fullness policy.
-  Resources UsableCapacity(MachineId id) const;
+  // Inline, like CanFitWithPending: both run on every placement probe.
+  Resources UsableCapacity(MachineId id) const {
+    const Machine& m = machines_[id];
+    if (fullness_ == FullnessPolicy::kExact) {
+      return m.capacity;
+    }
+    return m.capacity * (1.0 - headroom_fraction_);
+  }
 
   // Validation predicate: can `request` be placed on machine `id` right now?
-  bool CanFit(MachineId id, const Resources& request) const;
+  bool CanFit(MachineId id, const Resources& request) const {
+    return CanFitWithPending(id, request, Resources::Zero());
+  }
 
   // As CanFit, but with `extra` already hypothetically allocated (pending
   // same-transaction claims on the same machine).
   bool CanFitWithPending(MachineId id, const Resources& request,
-                         const Resources& extra) const;
+                         const Resources& extra) const {
+    const Resources used = machines_[id].allocated + extra + request;
+    return used.FitsIn(UsableCapacity(id));
+  }
 
   // Immediately allocates/frees (bumping the machine's sequence number).
   // Allocate CHECK-fails if the claim does not fit; Free CHECK-fails if it
@@ -127,12 +187,21 @@ class CellState {
   // every claim carries identical resources (the §2.1 cohort property the
   // workload model guarantees) and no availability index is attached,
   // accepted claims are applied grouped per machine, one AllocateBatch per
-  // distinct machine; otherwise one Allocate per claim in claim order. The
-  // resulting state is bit-identical to the per-claim reference in
-  // tests/reference_cell.h (DESIGN.md §10).
+  // distinct machine in ascending machine order (MachineGrouper); otherwise
+  // one Allocate per claim in claim order. The resulting state is
+  // bit-identical to the per-claim reference in tests/reference_cell.h
+  // (DESIGN.md §10).
   CommitResult Commit(std::span<const TaskClaim> claims, ConflictMode conflict_mode,
                       CommitMode commit_mode,
                       std::vector<TaskClaim>* rejected = nullptr);
+
+  // Frees a finished cohort (one committed placement batch whose members all
+  // carry `per_task` resources): one FreeBatch per distinct machine in
+  // ascending machine order, or, with the availability index attached, one
+  // Free per member in member order (bucket-list order is observable there).
+  // Bit-identical to freeing member by member (DESIGN.md §10).
+  void FreeCohort(std::span<const TaskClaim> members,
+                  const Resources& per_task);
 
   // Observer invoked after every non-empty Commit with the transaction's
   // claims and outcome — the state-store-side tracing seam (every writer
@@ -143,6 +212,7 @@ class CellState {
   void SetCommitObserver(CommitObserver observer) {
     commit_observer_ = std::move(observer);
   }
+  const CommitObserver& commit_observer() const { return commit_observer_; }
 
   // Hook invoked with a machine id just before that machine's allocation
   // changes (Allocate, Free and their batched forms, so every Commit too),
@@ -152,6 +222,7 @@ class CellState {
   // state.
   using MutationHook = std::function<void(MachineId)>;
   void SetMutationHook(MutationHook hook) { mutation_hook_ = std::move(hook); }
+  const MutationHook& mutation_hook() const { return mutation_hook_; }
 
   Resources TotalCapacity() const { return total_capacity_; }
   Resources TotalAllocated() const { return total_allocated_; }
@@ -374,11 +445,13 @@ class CellState {
 
   CommitObserver commit_observer_;
   MutationHook mutation_hook_;
-  // Commit scratch, reused across transactions: the per-machine grouping
-  // list, the per-claim accept flags, and the pending same-transaction sums
-  // as a dense epoch-stamped per-machine array (an array read per claim
-  // instead of a hash lookup; a new transaction is an O(1) epoch bump).
-  std::vector<MachineId> commit_scratch_;
+  // Commit and FreeCohort scratch, reused across transactions: the machine
+  // ids to group and their grouper, the per-claim accept flags, and the
+  // pending same-transaction sums as a dense epoch-stamped per-machine array
+  // (an array read per claim instead of a hash lookup; a new transaction is
+  // an O(1) epoch bump).
+  std::vector<MachineId> group_ids_;
+  MachineGrouper grouper_;
   std::vector<char> accept_scratch_;
   std::vector<Resources> pending_amount_;
   std::vector<uint32_t> pending_stamp_;

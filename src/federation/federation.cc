@@ -101,7 +101,12 @@ FederationSim::FederationSim(const ClusterConfig& cell_config,
   metrics_.routed_per_cell.resize(fed_options_.num_cells, 0);
 }
 
-void FederationSim::Run() {
+int64_t FederationSim::Run() {
+  PrepareRun();
+  return sim_.RunUntil(EndTime());
+}
+
+void FederationSim::PrepareRun() {
   // Cell-index order fixes the initial event sequence on the master queue.
   // Each cell's events carry its lane, so same-time events from different
   // streams order by (lane, insertion).
@@ -116,7 +121,6 @@ void FederationSim::Run() {
       SchedulePublish(i);
     }
   }
-  sim_.RunUntil(EndTime());
 }
 
 void FederationSim::SetTraceRecorder(TraceRecorder* recorder) {

@@ -167,9 +167,16 @@ class FederationSim {
                 const SchedulerConfig& service_config,
                 const FederationOptions& fed_options);
 
-  // Prepares every cell on the master queue, starts the fleet arrival stream
-  // and gossip, and runs to the horizon.
-  void Run();
+  // PrepareRun() followed by the master queue's loop to the horizon. Returns
+  // the number of events the loop executed.
+  int64_t Run();
+
+  // The setup half of Run(): prepares every cell (initial fill plus its
+  // streams) on the master queue in cell-index order and starts the fleet
+  // arrival stream and gossip, without entering the event loop. A caller
+  // that times set-up and loop apart calls this and then
+  // sim().RunUntil(EndTime()), which is bit-identical to Run().
+  void PrepareRun();
 
   // Attaches one recorder to every cell (tracks are namespaced "cell<i>/...").
   // Call before Run().

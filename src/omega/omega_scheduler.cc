@@ -17,7 +17,8 @@ void OmegaScheduler::BeginAttempt(const JobPtr& job) {
   // Sync: the local copy of cell state is refreshed now; the scheduling
   // algorithm runs against this snapshot. Claims capture per-machine sequence
   // numbers for conflict detection. The transaction spans [now, now+decision].
-  auto claims = std::make_shared<std::vector<TaskClaim>>();
+  attempt_job_ = job;
+  claims_.clear();
   uint32_t target = remaining;
   if (ExceedsResourceLimit(*job)) {
     target = 0;
@@ -25,7 +26,7 @@ void OmegaScheduler::BeginAttempt(const JobPtr& job) {
   uint32_t placed_locally = 0;
   if (target > 0) {
     placed_locally =
-        placer_->PlaceTasks(harness_.cell(), *job, target, rng_, claims.get());
+        placer_->PlaceTasks(harness_.cell(), *job, target, rng_, &claims_);
   }
 
   if (placed_locally < target) {
@@ -42,74 +43,79 @@ void OmegaScheduler::BeginAttempt(const JobPtr& job) {
     // once the decision time has been spent (the work is still paid for).
     if (TraceRecorder* trace = harness_.trace()) {
       trace->GangAbort(harness_.sim().Now(), TraceTrack(), job->id,
-                       static_cast<int64_t>(claims->size()),
+                       static_cast<int64_t>(claims_.size()),
                        /*at_commit=*/false);
     }
-    claims->clear();
-    placed_locally = 0;
+    claims_.clear();
   }
 
-  harness_.sim().ScheduleAfter(decision, [this, job, claims] {
-    // Commit: at most one conflicting transaction succeeds; non-conflicting
-    // incremental changes are accepted (§3.4).
-    std::vector<TaskClaim> rejected;
-    const CommitResult result = harness_.cell().Commit(
-        *claims, config_.conflict_mode, config_.commit_mode, &rejected);
-    metrics_.RecordTransaction(result.accepted, result.conflicted);
-    if (TraceRecorder* trace = harness_.trace()) {
-      const SimTime now = harness_.sim().Now();
-      if (!claims->empty()) {
-        trace->TxnCommit(now, TraceTrack(), job->id, result.accepted,
-                         result.conflicted);
-      }
-      for (const TaskClaim& claim : rejected) {
-        trace->ClaimConflict(now, TraceTrack(), job->id, claim.machine,
-                             claim.seqnum_at_placement,
-                             harness_.cell().machine(claim.machine).seqnum);
-      }
-      if (config_.commit_mode == CommitMode::kAllOrNothing &&
-          result.conflicted > 0) {
-        trace->GangAbort(now, TraceTrack(), job->id, result.conflicted,
-                         /*at_commit=*/true);
-      }
+  harness_.sim().ScheduleAfter(decision, [this] { CommitAttempt(); });
+}
+
+void OmegaScheduler::CommitAttempt() {
+  // Hold the job locally: CompleteAttempt below may begin the next attempt,
+  // which overwrites attempt_job_ and the claim buffers. Nothing reads the
+  // buffers after that call.
+  const JobPtr job = std::move(attempt_job_);
+  // Commit: at most one conflicting transaction succeeds; non-conflicting
+  // incremental changes are accepted (§3.4).
+  rejected_.clear();
+  const CommitResult result = harness_.cell().Commit(
+      claims_, config_.conflict_mode, config_.commit_mode, &rejected_);
+  metrics_.RecordTransaction(result.accepted, result.conflicted);
+  if (TraceRecorder* trace = harness_.trace()) {
+    const SimTime now = harness_.sim().Now();
+    if (!claims_.empty()) {
+      trace->TxnCommit(now, TraceTrack(), job->id, result.accepted,
+                       result.conflicted);
     }
-    if (result.accepted > 0) {
-      // Accepted claims are prefix-stable only for incremental commits where
-      // rejected entries were removed; reconstruct the accepted set.
-      if (result.conflicted == 0) {
-        StartPlacedTasks(*job, *claims);
-      } else {
-        StartPlacedTasks(*job, ReconstructAcceptedClaims(*claims, rejected,
-                                                         result.accepted));
-      }
+    for (const TaskClaim& claim : rejected_) {
+      trace->ClaimConflict(now, TraceTrack(), job->id, claim.machine,
+                           claim.seqnum_at_placement,
+                           harness_.cell().machine(claim.machine).seqnum);
     }
-    uint32_t placed_total = static_cast<uint32_t>(result.accepted);
-    if (config_.enable_preemption && placed_total < job->TasksRemaining()) {
-      // Lay claim to resources other schedulers have already acquired: evict
-      // strictly-lower-precedence tasks to make room (§3.4). Preemption costs
-      // the victims their work, so it only runs when the normal placement
-      // could not finish the job.
-      std::vector<TaskClaim> preempted_claims;
-      int victims = 0;
-      const uint32_t still_needed = job->TasksRemaining() - placed_total;
-      for (uint32_t t = 0; t < still_needed; ++t) {
-        const MachineId m = harness_.PreemptAndPlace(*job, rng_, &victims);
-        if (m == kInvalidMachineId) {
-          break;
-        }
-        preempted_claims.push_back(TaskClaim{m, job->task_resources, 0});
-      }
-      if (!preempted_claims.empty()) {
-        // Eviction-won placements are not optimistic transactions: account
-        // them separately so they cannot dilute the conflict statistics.
-        metrics_.RecordPreemption(static_cast<int>(preempted_claims.size()),
-                                  victims);
-        StartPlacedTasks(*job, preempted_claims);
-        placed_total += static_cast<uint32_t>(preempted_claims.size());
-      }
+    if (config_.commit_mode == CommitMode::kAllOrNothing &&
+        result.conflicted > 0) {
+      trace->GangAbort(now, TraceTrack(), job->id, result.conflicted,
+                       /*at_commit=*/true);
     }
-    CompleteAttempt(job, placed_total, /*had_conflict=*/result.conflicted > 0);
-  });
+  }
+  if (result.accepted > 0) {
+    // Accepted claims are prefix-stable only for incremental commits where
+    // rejected entries were removed; reconstruct the accepted set.
+    if (result.conflicted == 0) {
+      StartPlacedTasks(*job, claims_);
+    } else {
+      StartPlacedTasks(*job, ReconstructAcceptedClaims(claims_, rejected_,
+                                                       result.accepted));
+    }
+  }
+  uint32_t placed_total = static_cast<uint32_t>(result.accepted);
+  if (config_.enable_preemption && placed_total < job->TasksRemaining()) {
+    // Lay claim to resources other schedulers have already acquired: evict
+    // strictly-lower-precedence tasks to make room (§3.4). Preemption costs
+    // the victims their work, so it only runs when the normal placement
+    // could not finish the job.
+    std::vector<TaskClaim> preempted_claims;
+    int victims = 0;
+    const uint32_t still_needed = job->TasksRemaining() - placed_total;
+    for (uint32_t t = 0; t < still_needed; ++t) {
+      const MachineId m = harness_.PreemptAndPlace(*job, rng_, &victims);
+      if (m == kInvalidMachineId) {
+        break;
+      }
+      preempted_claims.push_back(TaskClaim{m, job->task_resources, 0});
+    }
+    if (!preempted_claims.empty()) {
+      // Eviction-won placements are not optimistic transactions: account
+      // them separately so they cannot dilute the conflict statistics.
+      metrics_.RecordPreemption(static_cast<int>(preempted_claims.size()),
+                                victims);
+      StartPlacedTasks(*job, preempted_claims);
+      placed_total += static_cast<uint32_t>(preempted_claims.size());
+    }
+  }
+  CompleteAttempt(job, placed_total, /*had_conflict=*/result.conflicted > 0);
 }
 
 OmegaSimulation::OmegaSimulation(const ClusterConfig& config,

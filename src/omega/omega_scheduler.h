@@ -34,8 +34,21 @@ class OmegaScheduler : public QueueScheduler {
   void BeginAttempt(const JobPtr& job) override;
 
  private:
+  // The commit event of the in-flight attempt: commits claims_, starts the
+  // accepted tasks, preempts if enabled, and completes the attempt.
+  void CommitAttempt();
+
   std::unique_ptr<TaskPlacer> placer_;
   Rng rng_;
+
+  // The one in-flight attempt (busy_ admits no second one): its job, the
+  // claims placed against the local snapshot and Commit's rejected claims.
+  // Owned here and reused, so a transaction allocates no buffers and its
+  // commit event captures only `this`. CommitAttempt takes the job out
+  // before CompleteAttempt, which may start the next attempt and refill them.
+  JobPtr attempt_job_;
+  std::vector<TaskClaim> claims_;
+  std::vector<TaskClaim> rejected_;
 };
 
 // Builds the placement algorithm each scheduler runs. The lightweight

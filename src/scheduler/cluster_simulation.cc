@@ -335,32 +335,7 @@ void ClusterSimulation::FinishCohort(CohortStore::CohortId cohort_id) {
       registry_.Remove(c.member_tasks[i]);
     }
   }
-  if (cell_.HasAvailabilityIndex()) {
-    // Bucket-list permutations are order-sensitive; replay per-task frees in
-    // claim order (the cohort still saved n-1 heap events).
-    for (const TaskClaim& claim : c.member_claims) {
-      cell_.Free(claim.machine, claim.resources);
-    }
-  } else {
-    // One batched free per distinct machine. Sorting reorders frees across
-    // machines, which is state-identical because members share per-task
-    // resources (DESIGN.md §10).
-    cohort_scratch_.clear();
-    for (const TaskClaim& claim : c.member_claims) {
-      cohort_scratch_.push_back(claim.machine);
-    }
-    std::sort(cohort_scratch_.begin(), cohort_scratch_.end());
-    for (size_t i = 0; i < cohort_scratch_.size();) {
-      size_t j = i + 1;
-      while (j < cohort_scratch_.size() &&
-             cohort_scratch_[j] == cohort_scratch_[i]) {
-        ++j;
-      }
-      cell_.FreeBatch(cohort_scratch_[i], c.task_resources,
-                      static_cast<uint32_t>(j - i));
-      i = j;
-    }
-  }
+  cell_.FreeCohort(c.member_claims, c.task_resources);
   for (size_t i = 0; i < n; ++i) {
     OnTaskFreed();
   }

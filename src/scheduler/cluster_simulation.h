@@ -183,7 +183,7 @@ class ClusterSimulation {
   void RunEndCallbackForKill(const RunningTask& task);
 
   // Fires a cohort's shared end event: per-member callback/trace/registry
-  // work in claim order, then per-machine batched frees.
+  // work in claim order, then CellState::FreeCohort.
   void FinishCohort(CohortStore::CohortId cohort_id);
   // Cancels a running task's pending end: its private event, or its cohort
   // membership (cancelling the shared event only when the cohort empties).
@@ -205,8 +205,6 @@ class ClusterSimulation {
 
   TaskRegistry registry_;
   CohortStore cohorts_;
-  // Scratch for FinishCohort's per-machine grouping, reused across cohorts.
-  std::vector<MachineId> cohort_scratch_;
   int64_t tasks_preempted_ = 0;
   TraceRecorder* trace_ = nullptr;
   std::string trace_scope_;

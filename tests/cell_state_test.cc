@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -672,6 +674,144 @@ TEST(ReconstructAcceptedClaimsDeathTest, WrongAcceptedCountAborts) {
   const std::vector<TaskClaim> rejected = {{0, kTask, 1}};
   EXPECT_DEATH(ReconstructAcceptedClaims(claims, rejected, 2),
                "accepted.size");
+}
+
+// MachineGrouper against std::sort plus run-length encoding, the order
+// Commit and FreeCohort must reproduce. One grouper serves every list, so
+// its dense scratch is reused across lists of every size and span: a count
+// or touched bit left behind by one list would corrupt a later one.
+std::vector<MachineRun> SortedRuns(std::vector<MachineId> ids) {
+  std::sort(ids.begin(), ids.end());
+  std::vector<MachineRun> runs;
+  for (size_t i = 0; i < ids.size();) {
+    size_t j = i + 1;
+    while (j < ids.size() && ids[j] == ids[i]) {
+      ++j;
+    }
+    runs.push_back(MachineRun{ids[i], static_cast<uint32_t>(j - i)});
+    i = j;
+  }
+  return runs;
+}
+
+::testing::AssertionResult SameRuns(std::span<const MachineRun> got,
+                                    const std::vector<MachineRun>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " runs, want " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i].machine != want[i].machine || got[i].count != want[i].count) {
+      return ::testing::AssertionFailure()
+             << "run " << i << ": (" << got[i].machine << ", " << got[i].count
+             << "), want (" << want[i].machine << ", " << want[i].count << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(MachineGrouperTest, MatchesSortOnRandomLists) {
+  constexpr MachineId kLargest = 99'999;  // a 100k-machine cell's last id
+  constexpr size_t kShort = MachineGrouper::kAlwaysSort;
+  MachineGrouper grouper;
+  Rng rng(2024);
+  int counted = 0;
+  int long_sorted = 0;  // longer than kShort, sorted for its wide span
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Lengths straddle the always-sort bound, with a tail up to 3,000
+    // claims; spans decide between sorting and counting above it.
+    size_t n = 0;
+    switch (rng.NextBounded(4)) {
+      case 0: n = rng.NextBounded(kShort + 1); break;
+      case 1: n = kShort - 2 + rng.NextBounded(5); break;
+      case 2: n = rng.NextBounded(300); break;
+      default: n = rng.NextBounded(3001); break;
+    }
+    // Spans from a few machines (heavy duplication) up to the whole
+    // 100k-machine id space, anchored anywhere in it.
+    const uint64_t span = uint64_t{1} << rng.NextBounded(18);
+    const uint64_t base = rng.NextBounded(kLargest + 1);
+    std::vector<MachineId> ids;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t pick = rng.NextBounded(8);
+      if (pick == 0) {
+        ids.push_back(0);
+      } else if (pick == 1) {
+        ids.push_back(kLargest);
+      } else if (pick == 2 && !ids.empty()) {
+        ids.push_back(ids[rng.NextBounded(ids.size())]);
+      } else {
+        ids.push_back(static_cast<MachineId>((base + rng.NextBounded(span)) %
+                                             (kLargest + 1)));
+      }
+    }
+    if (!ids.empty()) {
+      const auto [lo, hi] = std::minmax_element(ids.begin(), ids.end());
+      const bool counts = MachineGrouper::Counts(n, *hi / 64 - *lo / 64 + 1);
+      counted += counts ? 1 : 0;
+      long_sorted += !counts && n > kShort ? 1 : 0;
+    }
+    const std::vector<MachineRun> want = SortedRuns(ids);
+    ASSERT_TRUE(SameRuns(grouper.Group(ids), want))
+        << "trial " << trial << " n=" << n;
+  }
+  EXPECT_GT(counted, 1000);
+  EXPECT_GT(long_sorted, 100);
+}
+
+TEST(MachineGrouperTest, EdgeLists) {
+  MachineGrouper grouper;
+  const std::vector<std::vector<MachineId>> lists = {
+      {},
+      {0},
+      {99'999},
+      std::vector<MachineId>(MachineGrouper::kAlwaysSort, 7),
+      std::vector<MachineId>(MachineGrouper::kAlwaysSort + 1, 7),
+      std::vector<MachineId>(3000, 0),
+      // Descending, straddling 64-id word boundaries; counted.
+      [] {
+        std::vector<MachineId> v;
+        for (MachineId m = 200; m-- > 0;) {
+          v.push_back(m);
+        }
+        return v;
+      }(),
+      // Both ends of the id space in one list, too short to count over
+      // that span; and one long enough to count over it.
+      [] {
+        std::vector<MachineId> v;
+        for (int i = 0; i < 40; ++i) {
+          v.push_back(i % 2 == 0 ? 99'999 : 0);
+        }
+        return v;
+      }(),
+      [] {
+        std::vector<MachineId> v;
+        for (int i = 0; i < 800; ++i) {
+          v.push_back(i % 2 == 0 ? 99'999 : 0);
+        }
+        return v;
+      }(),
+  };
+  for (size_t i = 0; i < lists.size(); ++i) {
+    std::vector<MachineId> ids = lists[i];  // Group may reorder its input
+    EXPECT_TRUE(SameRuns(grouper.Group(ids), SortedRuns(lists[i])))
+        << "list " << i;
+  }
+}
+
+// The sort/count choice at the edges EdgeLists exercises: every short list
+// sorts, a long list counts over a narrow span, and a wide span needs a
+// longer list before counting pays.
+TEST(MachineGrouperTest, CountsWeighsLengthAgainstSpan) {
+  EXPECT_FALSE(MachineGrouper::Counts(MachineGrouper::kAlwaysSort, 1));
+  EXPECT_TRUE(MachineGrouper::Counts(MachineGrouper::kAlwaysSort + 1, 1));
+  EXPECT_TRUE(MachineGrouper::Counts(200, 4));
+  EXPECT_FALSE(MachineGrouper::Counts(40, 1563));
+  EXPECT_TRUE(MachineGrouper::Counts(800, 1563));
+  // A 12k-machine cell spans 188 words: counting starts at 24 ids.
+  EXPECT_FALSE(MachineGrouper::Counts(23, 188));
+  EXPECT_TRUE(MachineGrouper::Counts(24, 188));
 }
 
 }  // namespace

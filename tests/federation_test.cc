@@ -7,6 +7,7 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -316,6 +317,135 @@ TEST(FederationSpilloverTest, TimeoutSpillsCompleteElsewhere) {
   EXPECT_GT(m.spillover_latency_secs.count(), size_t{0});
   EXPECT_LE(m.spillover_latency_secs.count(),
             m.time_to_scheduled_secs.count());
+}
+
+// A watchdog shorter than every batch decision cancels jobs while their
+// attempt is in flight: the Omega scheduler's commit event still commits the
+// claims it holds, starts the accepted tasks and completes the attempt, but
+// the withdrawn job neither retries nor counts as scheduled, and its clone
+// starts over in a sibling cell. The digests were recorded while each
+// attempt still allocated its own claim vector.
+TEST(FederationSpilloverTest, CancelledMidAttemptStopsAtItsAttempt) {
+  SchedulerConfig slow_batch = Sched("batch");
+  slow_batch.batch_times.t_job = Duration::FromSeconds(5);
+  FederationOptions fed_opts = BaseFed(/*cells=*/4);
+  fed_opts.pending_timeout = Duration::FromSeconds(2);
+  fed_opts.max_spills = 3;
+  SimOptions options = BaseOptions(45, /*hours=*/0.5);
+  options.batch_rate_multiplier = 0.5;
+  options.service_rate_multiplier = 0.0;
+  FederationSim fed(TestCluster(16), options, slow_batch, Sched("service"),
+                    fed_opts);
+  TraceRecorder recorder;
+  fed.SetTraceRecorder(&recorder);
+  fed.Run();
+
+  // Replay attempts per (track, job). An attempt that outlived the watchdog
+  // had its job withdrawn mid-attempt when the job moved on: its clone
+  // begins a first attempt on another track later.
+  struct Attempt {
+    uint16_t track;
+    uint64_t job;
+    int64_t begin_us;
+    int64_t end_us;
+    bool retried_at_once;
+  };
+  std::vector<Attempt> attempts;
+  std::vector<TraceEvent> events;
+  recorder.ForEachRetained(
+      [&events](const TraceEvent& e) { events.push_back(e); });
+  for (size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (e.type == TraceEventType::kAttemptBegin) {
+      attempts.push_back(Attempt{e.track, e.job, e.time_us, -1, false});
+    } else if (e.type == TraceEventType::kAttemptEnd) {
+      for (size_t k = attempts.size(); k-- > 0;) {
+        Attempt& a = attempts[k];
+        if (a.track == e.track && a.job == e.job && a.end_us < 0) {
+          a.end_us = e.time_us;
+          a.retried_at_once =
+              i + 1 < events.size() &&
+              events[i + 1].type == TraceEventType::kAttemptBegin &&
+              events[i + 1].job == e.job && events[i + 1].track == e.track;
+          break;
+        }
+      }
+    }
+  }
+  const int64_t timeout_us = fed_opts.pending_timeout.micros();
+  int64_t cancelled_mid_attempt = 0;
+  for (size_t k = 0; k < attempts.size(); ++k) {
+    const Attempt& a = attempts[k];
+    if (a.end_us < 0 || a.end_us - a.begin_us <= timeout_us) {
+      continue;
+    }
+    bool moved_on = false;
+    for (size_t later = k + 1; later < attempts.size() && !moved_on; ++later) {
+      moved_on = attempts[later].job == a.job &&
+                 attempts[later].track != a.track &&
+                 attempts[later].begin_us >= a.begin_us + timeout_us;
+    }
+    if (moved_on) {
+      ++cancelled_mid_attempt;
+      EXPECT_FALSE(a.retried_at_once)
+          << "withdrawn job " << a.job << " retried on track " << a.track;
+    }
+  }
+  const FederationMetrics& m = fed.metrics();
+  EXPECT_GT(cancelled_mid_attempt, 20);
+  EXPECT_GT(m.spill_timeouts, 20);
+  // No attempt ends before its job's watchdog, so every job is withdrawn
+  // until its spills run out.
+  EXPECT_EQ(m.jobs_fully_scheduled, 0);
+  EXPECT_GT(m.jobs_lost, 0);
+  for (uint32_t i = 0; i < fed.num_cells(); ++i) {
+    EXPECT_TRUE(fed.cell(i).cell().CheckInvariants()) << "cell " << i;
+  }
+  Fnv1a cells;
+  for (uint32_t i = 0; i < fed.num_cells(); ++i) {
+    cells.U64(FingerprintDigest(Fingerprint(fed.cell(i), recorder)));
+  }
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "0x%016" PRIx64, cells.h);
+  EXPECT_EQ(cells.h, 0x33f250ee49a2f16eULL) << "cells digest is now " << hex;
+}
+
+// Run() is PrepareRun() followed by the master queue's loop, and returns the
+// number of events that loop executed. A caller that times set-up and loop
+// apart gets the same run, bit for bit, and the same count.
+TEST(FederationRunTest, RunReturnsEventCountAndEqualsPrepareThenLoop) {
+  const SimOptions options = BaseOptions(46);
+  const FederationOptions fed_opts = BaseFed();
+  auto build = [&options, &fed_opts] {
+    return std::make_unique<FederationSim>(TestCluster(24), options,
+                                           Sched("batch"), Sched("service"),
+                                           fed_opts);
+  };
+  auto digest = [](FederationSim& fed, const TraceRecorder& recorder) {
+    Fnv1a fnv;
+    for (uint32_t i = 0; i < fed.num_cells(); ++i) {
+      fnv.U64(FingerprintDigest(Fingerprint(fed.cell(i), recorder)));
+    }
+    fnv.U64(static_cast<uint64_t>(fed.metrics().jobs_fully_scheduled));
+    fnv.U64(static_cast<uint64_t>(fed.metrics().spills));
+    fnv.U64(static_cast<uint64_t>(fed.metrics().summaries_delivered));
+    return fnv.h;
+  };
+
+  auto whole = build();
+  TraceRecorder whole_trace;
+  whole->SetTraceRecorder(&whole_trace);
+  const int64_t whole_events = whole->Run();
+  EXPECT_EQ(whole_events, 9408);
+
+  auto split = build();
+  TraceRecorder split_trace;
+  split->SetTraceRecorder(&split_trace);
+  split->PrepareRun();
+  EXPECT_EQ(split->sim().Now(), SimTime::Zero());  // set-up pops nothing
+  const int64_t split_events = split->sim().RunUntil(split->EndTime());
+  EXPECT_EQ(split_events, whole_events);
+  EXPECT_EQ(digest(*split, split_trace), digest(*whole, whole_trace));
 }
 
 // Multi-cell trials share one TraceRecorder: per-cell track names are

@@ -60,7 +60,14 @@ class ReferenceCell {
         .FitsIn(UsableCapacity(id));
   }
 
+  // When set, every per-task Allocate and Free appends its machine id, the
+  // order a per-task cell would call its mutation hook in.
+  std::vector<MachineId>* mutation_log = nullptr;
+
   void Allocate(MachineId id, const Resources& request) {
+    if (mutation_log != nullptr) {
+      mutation_log->push_back(id);
+    }
     Machine& m = machines_[id];
     ASSERT_TRUE((m.allocated + request).FitsIn(m.capacity));
     m.allocated += request;
@@ -69,6 +76,9 @@ class ReferenceCell {
   }
 
   void Free(MachineId id, const Resources& request) {
+    if (mutation_log != nullptr) {
+      mutation_log->push_back(id);
+    }
     Machine& m = machines_[id];
     m.allocated -= request;
     ASSERT_FALSE(m.allocated.IsNegative());

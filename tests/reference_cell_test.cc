@@ -11,6 +11,8 @@
 // and on each Commit's result and rejected claims.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "src/cluster/cell_state.h"
@@ -219,6 +221,132 @@ std::vector<CellCase> CellCases() {
 
 INSTANTIATE_TEST_SUITE_P(Streams, CellStateReferenceTest,
                          ::testing::ValuesIn(CellCases()));
+
+// Large uniform transactions, the shape Omega batch jobs commit: 1 to 3,000
+// identical claims spread over a 12k- or 100k-machine cell, both sorted and
+// counted by MachineGrouper, then freed as cohorts. Besides state and
+// verdicts, the mutation hook's call order must be the one the sorted
+// grouping gives: one call per distinct machine in ascending order for the
+// grouped paths, and with the availability index one call per claim in the
+// reference's per-task order.
+struct LargeCase {
+  uint32_t machines;
+  bool index;
+};
+
+void PrintTo(const LargeCase& c, std::ostream* os) {
+  *os << "machines=" << c.machines << " index=" << c.index;
+}
+
+std::vector<MachineId> SortedUnique(std::vector<MachineId> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+class LargeUniformTxnTest : public ::testing::TestWithParam<LargeCase> {};
+
+TEST_P(LargeUniformTxnTest, MatchesReferenceAndSortedHookOrder) {
+  const LargeCase param = GetParam();
+  std::vector<Resources> caps;
+  for (uint32_t m = 0; m < param.machines; ++m) {
+    caps.push_back(m % 3 == 0 ? Resources{16.0, 64.0} : Resources{8.0, 24.0});
+  }
+  CellState cell(caps);
+  ReferenceCell ref(caps);
+  if (param.index) {
+    cell.EnableAvailabilityIndex();
+  }
+  std::vector<MachineId> hook_calls;
+  cell.SetMutationHook([&hook_calls](MachineId m) { hook_calls.push_back(m); });
+  std::vector<MachineId> ref_log;
+  ref.mutation_log = &ref_log;
+  auto expected_calls = [&param, &ref_log] {
+    return param.index ? ref_log : SortedUnique(ref_log);
+  };
+  Rng rng(param.machines + (param.index ? 1 : 0));
+  const std::vector<uint64_t> sizes = {1,  2,  16,  17,  31,   32,   33,
+                                       64, 65, 500, 999, 2048, 3000, 3000};
+  std::vector<std::vector<TaskClaim>> cohorts;
+  std::vector<Resources> cohort_shapes;
+  int conflicted = 0;
+  for (int step = 0; step < 96; ++step) {
+    const uint64_t n = step < static_cast<int>(sizes.size())
+                           ? sizes[step]
+                           : 1 + rng.NextBounded(3000);
+    // Narrow spans stack many claims per machine (and overfill some, so
+    // fine-grained conflicts occur); wide ones spread over the whole cell.
+    const uint64_t span =
+        1 + rng.NextBounded(rng.NextBool(0.5) ? 400 : param.machines);
+    const uint64_t base = rng.NextBounded(param.machines);
+    const Resources shape = RandomShape(rng);
+    std::vector<TaskClaim> claims;
+    for (uint64_t i = 0; i < n; ++i) {
+      const auto m = static_cast<MachineId>((base + rng.NextBounded(span)) %
+                                            param.machines);
+      uint64_t seq = cell.machine(m).seqnum;
+      if (rng.NextBounded(64) == 0) {
+        ++seq;  // stale under coarse-grained detection
+      }
+      claims.push_back(TaskClaim{m, shape, seq});
+    }
+    const auto conflict = rng.NextBool(0.5) ? ConflictMode::kFineGrained
+                                            : ConflictMode::kCoarseGrained;
+    const auto commit = rng.NextBool(0.8) ? CommitMode::kIncremental
+                                          : CommitMode::kAllOrNothing;
+    std::vector<TaskClaim> cell_rejected;
+    std::vector<TaskClaim> ref_rejected;
+    hook_calls.clear();
+    ref_log.clear();
+    const CommitResult a =
+        cell.Commit(claims, conflict, commit, &cell_rejected);
+    const CommitResult b = ref.Commit(claims, conflict, commit, &ref_rejected);
+    ASSERT_EQ(a.accepted, b.accepted) << "step " << step;
+    ASSERT_EQ(a.conflicted, b.conflicted) << "step " << step;
+    ASSERT_TRUE(SameClaims(cell_rejected, ref_rejected)) << "step " << step;
+    ASSERT_TRUE(SameState(cell, ref)) << "step " << step;
+    conflicted += a.conflicted > 0 ? 1 : 0;
+    std::vector<TaskClaim> accepted =
+        ReconstructAcceptedClaims(claims, cell_rejected, a.accepted);
+    ASSERT_EQ(hook_calls, expected_calls())
+        << "commit hook order, step " << step;
+    if (!accepted.empty()) {
+      cohorts.push_back(std::move(accepted));
+      cohort_shapes.push_back(shape);
+    }
+    // Free a random live cohort now and then, as its shared end event would.
+    if (!cohorts.empty() && rng.NextBool(0.5)) {
+      const size_t pick = rng.NextBounded(cohorts.size());
+      hook_calls.clear();
+      ref_log.clear();
+      cell.FreeCohort(cohorts[pick], cohort_shapes[pick]);
+      for (const TaskClaim& c : cohorts[pick]) {
+        ref.Free(c.machine, c.resources);
+      }
+      ASSERT_TRUE(SameState(cell, ref)) << "free, step " << step;
+      ASSERT_EQ(hook_calls, expected_calls())
+          << "free hook order, step " << step;
+      cohorts[pick] = std::move(cohorts.back());
+      cohorts.pop_back();
+      cohort_shapes[pick] = cohort_shapes.back();
+      cohort_shapes.pop_back();
+    }
+    ASSERT_TRUE(cell.CheckInvariants()) << "step " << step;
+  }
+  EXPECT_GT(conflicted, 5);
+  for (size_t i = 0; i < cohorts.size(); ++i) {
+    cell.FreeCohort(cohorts[i], cohort_shapes[i]);
+    for (const TaskClaim& c : cohorts[i]) {
+      ref.Free(c.machine, c.resources);
+    }
+  }
+  EXPECT_TRUE(SameState(cell, ref));
+}
+
+INSTANTIATE_TEST_SUITE_P(Cells, LargeUniformTxnTest,
+                         ::testing::Values(LargeCase{12000, false},
+                                           LargeCase{12000, true},
+                                           LargeCase{100000, false}));
 
 }  // namespace
 }  // namespace omega

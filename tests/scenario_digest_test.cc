@@ -11,9 +11,11 @@
 // placement, commit, task end or trace event in these runs fails here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -204,6 +206,85 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<DigestCase>& info) {
       return std::string(info.param.name);
     });
+
+// The mutation hook's call order is observable: the Mesos allocator turns
+// each call into an offer-slice take (TakeSlice), in that order. These runs
+// commit transactions and free cohorts that MachineGrouper counts rather
+// than sorts; the digests of their full hook-call sequences were recorded while
+// Commit and cohort frees still grouped machines with std::sort, and must not
+// move. A Mesos framework fills offer slices in machine order, so every list
+// the Mesos run groups already arrives ascending: its pin guards the hook's
+// call count and sequence. The Omega run's transactions arrive in placement
+// order, hundreds of them counted, so its pin also fails for a
+// grouper that emits first-seen rather than ascending order.
+enum class HookRun { kMesos, kOmega };
+
+struct HookOrder {
+  uint64_t calls = 0;
+  uint64_t digest = 0;
+  int64_t large_commits = 0;  // commits whose claim list the grouper counts
+};
+
+HookOrder RecordHookOrder(HookRun run) {
+  ClusterConfig cfg = TestCluster(512);
+  cfg.batch.tasks_per_job =
+      std::make_shared<BoundedParetoDist>(1.0, 1000.0, 0.92);
+  const SimOptions o = ScenarioOptions(17, 2.0);
+  std::unique_ptr<ClusterSimulation> sim;
+  if (run == HookRun::kMesos) {
+    sim = std::make_unique<MesosSimulation>(cfg, o, SchedulerConfig{},
+                                            SchedulerConfig{});
+  } else {
+    sim = std::make_unique<OmegaSimulation>(cfg, o, SchedulerConfig{},
+                                            SchedulerConfig{}, 3);
+  }
+  HookOrder out;
+  Fnv1a fnv;
+  // Wrap the installed hook (the Mesos allocator's; none for Omega), so the
+  // run behaves exactly as without the recorder.
+  CellState::MutationHook inner = sim->cell().mutation_hook();
+  sim->cell().SetMutationHook([&out, &fnv, inner](MachineId m) {
+    ++out.calls;
+    fnv.U64(m);
+    if (inner) {
+      inner(m);
+    }
+  });
+  sim->cell().SetCommitObserver(
+      [&out](std::span<const TaskClaim> claims, const CommitResult&) {
+        if (claims.empty()) {
+          return;
+        }
+        const auto [lo, hi] = std::minmax_element(
+            claims.begin(), claims.end(),
+            [](const TaskClaim& a, const TaskClaim& b) {
+              return a.machine < b.machine;
+            });
+        out.large_commits += MachineGrouper::Counts(
+                                 claims.size(),
+                                 hi->machine / 64 - lo->machine / 64 + 1)
+                                 ? 1
+                                 : 0;
+      });
+  sim->Run();
+  EXPECT_TRUE(sim->cell().CheckInvariants());
+  out.digest = fnv.h;
+  return out;
+}
+
+TEST(MutationHookOrderTest, MesosMatchesPinnedSequence) {
+  const HookOrder h = RecordHookOrder(HookRun::kMesos);
+  EXPECT_GT(h.large_commits, 50);
+  EXPECT_EQ(h.calls, 23354u);
+  EXPECT_EQ(h.digest, 0x408c61cdc5f33fefULL);
+}
+
+TEST(MutationHookOrderTest, OmegaMatchesPinnedSequence) {
+  const HookOrder h = RecordHookOrder(HookRun::kOmega);
+  EXPECT_GT(h.large_commits, 50);
+  EXPECT_EQ(h.calls, 58607u);
+  EXPECT_EQ(h.digest, 0x950f543fbe86e2c6ULL);
+}
 
 }  // namespace
 }  // namespace omega
