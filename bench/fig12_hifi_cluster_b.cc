@@ -8,25 +8,19 @@
 // service scheduler misses the 30 s wait-time SLO even before saturating; the
 // busyness with conflicts runs ~40% above the no-conflict approximation.
 //
-// Usage:
-//   fig12_hifi_cluster_b                        full run (day horizon)
-//   fig12_hifi_cluster_b --smoke-write <golden> regenerate the CI smoke golden
-//   fig12_hifi_cluster_b --smoke-check <golden> short run, bit-exact diff
-//
-// The smoke run pins the high-fidelity path (scoring placer over the
-// availability index, headroom fullness, constraints) at a short horizon.
-// Values are serialized as hex floats (%a), which round-trip doubles exactly;
-// the comparison is string equality, i.e. bitwise. The last field of each
-// trial is an FNV-1a checksum over every machine's final allocation bits, so
-// any changed placement decision shows up even where the aggregates agree.
+// Usage: fig12_hifi_cluster_b runs the full figure (day horizon);
+// --smoke-write/--smoke-check <golden> (bench/golden.h) pin the
+// high-fidelity path (scoring placer over the availability index, headroom
+// fullness, constraints) at a short horizon. The last field of each smoke
+// row is an FNV-1a checksum over every machine's final allocation bits.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/golden.h"
 #include "src/common/parallel_for.h"
 #include "src/hifi/hifi_simulation.h"
 
@@ -48,12 +42,6 @@ struct Row {
   int64_t tasks_conflicted = 0;
   uint64_t alloc_checksum = 0;  // FNV-1a over per-machine allocation bits
 };
-
-uint64_t FnvMix(uint64_t h, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return (h ^ bits) * 1099511628211ULL;
-}
 
 // Trial `i` of the sweep: the same seeds as the full figure, so the smoke
 // trials are prefixes (in horizon) of real figure trials.
@@ -82,12 +70,12 @@ Row RunTrial(double t_job, size_t i, Duration horizon) {
   r.service_busy_noconflict = sm.BusynessNoConflict(end).median;
   r.tasks_accepted = bm.TasksAccepted() + sm.TasksAccepted();
   r.tasks_conflicted = bm.TasksConflicted() + sm.TasksConflicted();
-  r.alloc_checksum = 1469598103934665603ULL;
+  r.alloc_checksum = golden::kFnvOffset;
   const CellState& cell = sim->cell();
   for (MachineId m = 0; m < cell.NumMachines(); ++m) {
-    r.alloc_checksum = FnvMix(r.alloc_checksum, cell.machine(m).allocated.cpus);
-    r.alloc_checksum =
-        FnvMix(r.alloc_checksum, cell.machine(m).allocated.mem_gb);
+    const Resources& allocated = cell.machine(m).allocated;
+    r.alloc_checksum = golden::FnvMix(r.alloc_checksum, allocated.cpus);
+    r.alloc_checksum = golden::FnvMix(r.alloc_checksum, allocated.mem_gb);
   }
   return r;
 }
@@ -115,75 +103,14 @@ std::string FormatSmokeRow(const Row& r) {
   return buf;
 }
 
-std::vector<std::string> RunSmoke() {
-  const std::vector<double> t_jobs(std::begin(kSmokeTjobs),
-                                   std::end(kSmokeTjobs));
-  const std::vector<Row> rows =
-      RunSweep(t_jobs, Duration::FromDays(kSmokeHorizonDays));
+std::vector<std::string> SmokeRows() {
   std::vector<std::string> lines;
-  lines.reserve(rows.size());
-  for (const Row& r : rows) {
+  const std::vector<double> t_jobs(std::begin(kSmokeTjobs),
+                                  std::end(kSmokeTjobs));
+  for (const Row& r : RunSweep(t_jobs, Duration::FromDays(kSmokeHorizonDays))) {
     lines.push_back(FormatSmokeRow(r));
   }
   return lines;
-}
-
-int SmokeWrite(const std::string& path) {
-  const std::vector<std::string> lines = RunSmoke();
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "fig12: cannot write " << path << "\n";
-    return 1;
-  }
-  out << "# fig12 smoke golden: hifi cluster B, horizon_days="
-      << kSmokeHorizonDays << " trials=" << lines.size() << "\n"
-      << "# fields: t_job batch_wait_avg batch_wait_p90 service_wait_avg "
-         "service_wait_p90 batch_conflict service_conflict batch_busy "
-         "service_busy service_busy_noconflict (hex floats) tasks_accepted "
-         "tasks_conflicted fnv1a-of-machine-allocations\n";
-  for (const std::string& line : lines) {
-    out << line << "\n";
-  }
-  std::cout << "fig12: wrote " << lines.size() << " trials to " << path << "\n";
-  return 0;
-}
-
-int SmokeCheck(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "fig12: cannot read golden " << path << "\n";
-    return 1;
-  }
-  std::vector<std::string> golden;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') {
-      golden.push_back(line);
-    }
-  }
-  const std::vector<std::string> got = RunSmoke();
-  int mismatches = 0;
-  if (got.size() != golden.size()) {
-    std::cerr << "fig12: trial count mismatch: golden has " << golden.size()
-              << ", run produced " << got.size() << "\n";
-    ++mismatches;
-  }
-  const size_t n = std::min(got.size(), golden.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (got[i] != golden[i]) {
-      std::cerr << "fig12: trial " << i << " diverges\n  golden: " << golden[i]
-                << "\n  got:    " << got[i] << "\n";
-      ++mismatches;
-    }
-  }
-  if (mismatches != 0) {
-    std::cerr << "fig12: FAILED (" << mismatches
-              << " mismatch(es)); if the change is intentional, regenerate "
-                 "with --smoke-write\n";
-    return 1;
-  }
-  std::cout << "fig12: OK (" << n << " trials bit-identical)\n";
-  return 0;
 }
 
 int FullRun() {
@@ -233,16 +160,17 @@ int FullRun() {
 }  // namespace omega
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::strcmp(argv[1], "--smoke-write") == 0) {
-    return omega::SmokeWrite(argv[2]);
-  }
-  if (argc == 3 && std::strcmp(argv[1], "--smoke-check") == 0) {
-    return omega::SmokeCheck(argv[2]);
-  }
-  if (argc != 1) {
-    std::cerr << "usage: fig12_hifi_cluster_b "
-                 "[--smoke-write|--smoke-check <golden-file>]\n";
-    return 2;
-  }
-  return omega::FullRun();
+  using omega::golden::Cat;
+  return omega::golden::SmokeMain(
+      argc, argv,
+      {"fig12_hifi_cluster_b",
+       {Cat("fig12 smoke golden: hifi cluster B, horizon_days=",
+            omega::kSmokeHorizonDays,
+            " trials=", std::size(omega::kSmokeTjobs)),
+        "fields: t_job batch_wait_avg batch_wait_p90 service_wait_avg "
+        "service_wait_p90 batch_conflict service_conflict batch_busy "
+        "service_busy service_busy_noconflict (hex floats) tasks_accepted "
+        "tasks_conflicted fnv1a-of-machine-allocations"},
+       omega::SmokeRows},
+      omega::FullRun);
 }

@@ -8,27 +8,21 @@
 // attempts); at long service decision times jobs hit the 1,000-attempt limit
 // and are abandoned.
 //
-// Usage:
-//   fig7_mesos                        full run (day horizon)
-//   fig7_mesos --smoke-write <golden> regenerate the CI smoke golden
-//   fig7_mesos --smoke-check <golden> short run, bit-exact diff
-//
-// The smoke run pins the offer lifecycle on cluster A at a short horizon:
-// a cheap service framework, the long-t_job regime where two offers
-// overlap, machine failures under outstanding offers, and a hoarding
-// (all-or-nothing) batch framework. Values are serialized as hex floats
-// (%a), which round-trip doubles exactly; the comparison is string
-// equality, i.e. bitwise. Each trial ends with FNV-1a checksums over every
-// machine's offered (locked) resources and allocation, so a changed offer or
-// placement shows up even where the aggregates agree.
+// Usage: fig7_mesos runs the full figure (day horizon);
+// --smoke-write/--smoke-check <golden> (bench/golden.h) pin the offer
+// lifecycle on cluster A at a short horizon: a cheap service framework, the
+// long-t_job regime where two offers overlap, machine failures under
+// outstanding offers, and a hoarding (all-or-nothing) batch framework. Each
+// smoke row ends with FNV-1a checksums over every machine's offered (locked)
+// resources and allocation.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/golden.h"
 #include "src/common/parallel_for.h"
 #include "src/mesos/mesos_simulation.h"
 
@@ -67,12 +61,6 @@ struct Row {
   uint64_t alloc_checksum = 0;    // FNV-1a over per-machine allocation bits
 };
 
-uint64_t FnvMix(uint64_t h, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return (h ^ bits) * 1099511628211ULL;
-}
-
 Row RunTrial(const Trial& t, Duration horizon) {
   SimOptions opts;
   opts.horizon = horizon;
@@ -103,16 +91,16 @@ Row RunTrial(const Trial& t, Duration horizon) {
   r.batch_drf = alloc.DominantShare(&sim.batch_framework());
   r.service_drf = alloc.DominantShare(&sim.service_framework());
   r.offered = alloc.TotalOffered();
-  r.offered_checksum = 1469598103934665603ULL;
-  r.alloc_checksum = 1469598103934665603ULL;
+  r.offered_checksum = golden::kFnvOffset;
+  r.alloc_checksum = golden::kFnvOffset;
   const CellState& cell = sim.cell();
   for (MachineId m = 0; m < cell.NumMachines(); ++m) {
     const Resources offered = alloc.OfferedOn(m);
-    r.offered_checksum = FnvMix(r.offered_checksum, offered.cpus);
-    r.offered_checksum = FnvMix(r.offered_checksum, offered.mem_gb);
-    r.alloc_checksum = FnvMix(r.alloc_checksum, cell.machine(m).allocated.cpus);
-    r.alloc_checksum =
-        FnvMix(r.alloc_checksum, cell.machine(m).allocated.mem_gb);
+    const Resources& allocated = cell.machine(m).allocated;
+    r.offered_checksum = golden::FnvMix(r.offered_checksum, offered.cpus);
+    r.offered_checksum = golden::FnvMix(r.offered_checksum, offered.mem_gb);
+    r.alloc_checksum = golden::FnvMix(r.alloc_checksum, allocated.cpus);
+    r.alloc_checksum = golden::FnvMix(r.alloc_checksum, allocated.mem_gb);
   }
   return r;
 }
@@ -145,76 +133,14 @@ std::string FormatSmokeRow(const Row& r) {
   return buf;
 }
 
-std::vector<std::string> RunSmoke() {
+std::vector<std::string> SmokeRows() {
+  std::vector<std::string> lines;
   const std::vector<Trial> trials(std::begin(kSmokeTrials),
                                   std::end(kSmokeTrials));
-  const std::vector<Row> rows =
-      RunSweep(trials, Duration::FromDays(kSmokeHorizonDays));
-  std::vector<std::string> lines;
-  lines.reserve(rows.size());
-  for (const Row& r : rows) {
+  for (const Row& r : RunSweep(trials, Duration::FromDays(kSmokeHorizonDays))) {
     lines.push_back(FormatSmokeRow(r));
   }
   return lines;
-}
-
-int SmokeWrite(const std::string& path) {
-  const std::vector<std::string> lines = RunSmoke();
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "fig7: cannot write " << path << "\n";
-    return 1;
-  }
-  out << "# fig7 smoke golden: Mesos, horizon_days=" << kSmokeHorizonDays
-      << " trials=" << lines.size() << "\n"
-      << "# fields: cluster t_job failure_rate_per_day hoarding batch_wait "
-         "service_wait batch_busy service_busy (hex floats) batch_abandoned "
-         "service_abandoned batch_attempts service_attempts batch_drf "
-         "service_drf offered_cpus offered_mem (hex floats) "
-         "fnv1a-of-machine-offers fnv1a-of-machine-allocations\n";
-  for (const std::string& line : lines) {
-    out << line << "\n";
-  }
-  std::cout << "fig7: wrote " << lines.size() << " trials to " << path << "\n";
-  return 0;
-}
-
-int SmokeCheck(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "fig7: cannot read golden " << path << "\n";
-    return 1;
-  }
-  std::vector<std::string> golden;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') {
-      golden.push_back(line);
-    }
-  }
-  const std::vector<std::string> got = RunSmoke();
-  int mismatches = 0;
-  if (got.size() != golden.size()) {
-    std::cerr << "fig7: trial count mismatch: golden has " << golden.size()
-              << ", run produced " << got.size() << "\n";
-    ++mismatches;
-  }
-  const size_t n = std::min(got.size(), golden.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (got[i] != golden[i]) {
-      std::cerr << "fig7: trial " << i << " diverges\n  golden: " << golden[i]
-                << "\n  got:    " << got[i] << "\n";
-      ++mismatches;
-    }
-  }
-  if (mismatches != 0) {
-    std::cerr << "fig7: FAILED (" << mismatches
-              << " mismatch(es)); if the change is intentional, regenerate "
-                 "with --smoke-write\n";
-    return 1;
-  }
-  std::cout << "fig7: OK (" << n << " trials bit-identical)\n";
-  return 0;
 }
 
 int FullRun() {
@@ -246,16 +172,17 @@ int FullRun() {
 }  // namespace omega
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::strcmp(argv[1], "--smoke-write") == 0) {
-    return omega::SmokeWrite(argv[2]);
-  }
-  if (argc == 3 && std::strcmp(argv[1], "--smoke-check") == 0) {
-    return omega::SmokeCheck(argv[2]);
-  }
-  if (argc != 1) {
-    std::cerr << "usage: fig7_mesos "
-                 "[--smoke-write|--smoke-check <golden-file>]\n";
-    return 2;
-  }
-  return omega::FullRun();
+  using omega::golden::Cat;
+  return omega::golden::SmokeMain(
+      argc, argv,
+      {"fig7_mesos",
+       {Cat("fig7 smoke golden: Mesos, horizon_days=", omega::kSmokeHorizonDays,
+            " trials=", std::size(omega::kSmokeTrials)),
+        "fields: cluster t_job failure_rate_per_day hoarding batch_wait "
+        "service_wait batch_busy service_busy (hex floats) batch_abandoned "
+        "service_abandoned batch_attempts service_attempts batch_drf "
+        "service_drf offered_cpus offered_mem (hex floats) "
+        "fnv1a-of-machine-offers fnv1a-of-machine-allocations"},
+       omega::SmokeRows},
+      omega::FullRun);
 }

@@ -9,21 +9,16 @@
 // BENCH_fig_mega.json so the mega-cell wall-clock trajectory is tracked
 // across PRs alongside the figure benches.
 //
-// Usage:
-//   fig_mega                        full run (day horizon, 3 seeds)
-//   fig_mega --smoke-write <golden> regenerate the CI smoke golden
-//   fig_mega --smoke-check <golden> short run, bit-exact diff vs the golden
-//
-// Smoke golden values are serialized as hex floats (%a), which round-trip
-// doubles exactly; the comparison is string equality, i.e. bitwise.
+// Usage: fig_mega runs the full sweep (day horizon, 3 seeds);
+// --smoke-write/--smoke-check <golden> pin a 2-trial short run
+// (bench/golden.h).
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/golden.h"
 #include "src/omega/omega_scheduler.h"
 
 namespace omega {
@@ -81,77 +76,14 @@ std::string FormatTrial(const Row& r) {
   return buf;
 }
 
-std::vector<std::string> RunSmoke() {
+std::vector<std::string> SmokeRows() {
   SweepRunner runner("fig_mega_smoke", kMegaBaseSeed);
-  const std::vector<Row> rows = RunMegaSweep(
-      Duration::FromDays(kSmokeHorizonDays), kSmokeTrials, runner);
-  std::vector<std::string> lines;
-  lines.reserve(rows.size());
-  for (const Row& r : rows) {
-    lines.push_back(FormatTrial(r));
+  std::vector<std::string> rows;
+  for (const Row& r : RunMegaSweep(Duration::FromDays(kSmokeHorizonDays),
+                                   kSmokeTrials, runner)) {
+    rows.push_back(FormatTrial(r));
   }
-  std::cout << "fig_mega smoke: " << runner.report().trials << " trials on "
-            << runner.report().threads << " thread(s) in "
-            << runner.report().wall_seconds << " s\n";
-  return lines;
-}
-
-int SmokeWrite(const std::string& path) {
-  const std::vector<std::string> lines = RunSmoke();
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "fig_mega: cannot write " << path << "\n";
-    return 1;
-  }
-  out << "# fig_mega smoke golden: 100k-machine omega cell, horizon_days="
-      << kSmokeHorizonDays << " trials=" << kSmokeTrials
-      << " base_seed=" << kMegaBaseSeed << "\n"
-      << "# fields: batch_wait service_wait batch_busy service_busy "
-         "conflict_fraction cpu_utilization submitted abandoned (hex floats)\n";
-  for (const std::string& line : lines) {
-    out << line << "\n";
-  }
-  std::cout << "fig_mega: wrote " << lines.size() << " trials to " << path
-            << "\n";
-  return 0;
-}
-
-int SmokeCheck(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "fig_mega: cannot read golden " << path << "\n";
-    return 1;
-  }
-  std::vector<std::string> golden;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') {
-      golden.push_back(line);
-    }
-  }
-  const std::vector<std::string> got = RunSmoke();
-  int mismatches = 0;
-  if (got.size() != golden.size()) {
-    std::cerr << "fig_mega: trial count mismatch: golden has " << golden.size()
-              << ", run produced " << got.size() << "\n";
-    ++mismatches;
-  }
-  const size_t n = std::min(got.size(), golden.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (got[i] != golden[i]) {
-      std::cerr << "fig_mega: trial " << i << " diverges\n  golden: "
-                << golden[i] << "\n  got:    " << got[i] << "\n";
-      ++mismatches;
-    }
-  }
-  if (mismatches != 0) {
-    std::cerr << "fig_mega: FAILED (" << mismatches
-              << " mismatch(es)); if the change is intentional, regenerate "
-                 "with --smoke-write\n";
-    return 1;
-  }
-  std::cout << "fig_mega: OK (" << n << " trials bit-identical)\n";
-  return 0;
+  return rows;
 }
 
 int FullRun() {
@@ -191,15 +123,15 @@ int FullRun() {
 }  // namespace omega
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::strcmp(argv[1], "--smoke-write") == 0) {
-    return omega::SmokeWrite(argv[2]);
-  }
-  if (argc == 3 && std::strcmp(argv[1], "--smoke-check") == 0) {
-    return omega::SmokeCheck(argv[2]);
-  }
-  if (argc != 1) {
-    std::cerr << "usage: fig_mega [--smoke-write|--smoke-check <golden-file>]\n";
-    return 2;
-  }
-  return omega::FullRun();
+  using omega::golden::Cat;
+  return omega::golden::SmokeMain(
+      argc, argv,
+      {"fig_mega",
+       {Cat("fig_mega smoke golden: 100k-machine omega cell, horizon_days=",
+            omega::kSmokeHorizonDays, " trials=", omega::kSmokeTrials,
+            " base_seed=", omega::kMegaBaseSeed),
+        "fields: batch_wait service_wait batch_busy service_busy "
+        "conflict_fraction cpu_utilization submitted abandoned (hex floats)"},
+       omega::SmokeRows},
+      omega::FullRun);
 }

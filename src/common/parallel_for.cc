@@ -58,65 +58,4 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
   }
 }
 
-void ParallelForRanges(size_t n, size_t grain,
-                       const std::function<void(size_t, size_t)>& fn,
-                       size_t max_threads) {
-  if (n == 0) {
-    return;
-  }
-  if (grain == 0) {
-    grain = 1;
-  }
-  const size_t num_chunks = (n + grain - 1) / grain;
-  size_t num_threads = max_threads;
-  if (num_threads == 0) {
-    num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
-  }
-  num_threads = std::min(num_threads, num_chunks);
-  auto run_chunk = [&](size_t c) {
-    const size_t begin = c * grain;
-    fn(begin, std::min(n, begin + grain));
-  };
-  if (num_threads == 1) {
-    // Still iterate chunk-by-chunk so the callee sees identical range shapes
-    // in the sequential and parallel cases.
-    for (size_t c = 0; c < num_chunks; ++c) {
-      run_chunk(c);
-    }
-    return;
-  }
-  std::atomic<size_t> next{0};
-  std::atomic<bool> abort{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::vector<std::thread> workers;
-  workers.reserve(num_threads);
-  for (size_t t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&] {
-      while (!abort.load(std::memory_order_relaxed)) {
-        const size_t c = next.fetch_add(1, std::memory_order_relaxed);
-        if (c >= num_chunks) {
-          return;
-        }
-        try {
-          run_chunk(c);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (first_error == nullptr) {
-            first_error = std::current_exception();
-          }
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    });
-  }
-  for (auto& w : workers) {
-    w.join();
-  }
-  if (first_error != nullptr) {
-    std::rethrow_exception(first_error);
-  }
-}
-
 }  // namespace omega

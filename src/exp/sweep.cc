@@ -6,7 +6,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
-// Thread-count *reporting* only; all dispatch goes through ParallelForRanges.
+// Thread-count *reporting* only; all dispatch goes through ParallelFor.
 #include <thread>  // omega-lint: allow(det-parallel-reduce)
 
 #include "src/common/json.h"

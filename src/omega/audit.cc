@@ -1,7 +1,5 @@
 #include "src/omega/audit.h"
 
-#include <iomanip>
-#include <ostream>
 #include <sstream>
 
 namespace omega {
@@ -69,45 +67,6 @@ SchedulerAuditEntry AuditMetrics(const std::string& name,
     }
   }
   return entry;
-}
-
-SchedulerAuditEntry AuditScheduler(const QueueScheduler& scheduler, SimTime end,
-                                   const AuditPolicy& policy) {
-  return AuditMetrics(scheduler.name(), scheduler.metrics(), end, policy);
-}
-
-AuditReport AuditSchedulers(const std::vector<const QueueScheduler*>& schedulers,
-                            SimTime end, const AuditPolicy& policy) {
-  AuditReport report;
-  report.entries.reserve(schedulers.size());
-  for (const QueueScheduler* s : schedulers) {
-    report.entries.push_back(AuditScheduler(*s, end, policy));
-  }
-  return report;
-}
-
-bool AuditReport::Compliant() const {
-  for (const SchedulerAuditEntry& e : entries) {
-    if (!e.findings.empty()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void AuditReport::Print(std::ostream& os) const {
-  os << "post-facto policy audit (" << entries.size() << " schedulers): "
-     << (Compliant() ? "COMPLIANT" : "VIOLATIONS FOUND") << "\n";
-  for (const SchedulerAuditEntry& e : entries) {
-    os << "  " << std::left << std::setw(16) << e.scheduler << " scheduled="
-       << e.jobs_scheduled << " abandoned=" << e.jobs_abandoned
-       << " busyness=" << std::setprecision(3) << e.busyness
-       << " conflict_fraction=" << e.conflict_fraction
-       << " mean_wait=" << e.mean_wait_secs << "s\n";
-    for (const std::string& finding : e.findings) {
-      os << "    !! " << finding << "\n";
-    }
-  }
 }
 
 }  // namespace omega

@@ -8,11 +8,10 @@
 // and flags violations of the configured limits and of the shared SLO.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "src/scheduler/queue_scheduler.h"
+#include "src/scheduler/metrics.h"
 
 namespace omega {
 
@@ -27,14 +26,6 @@ struct SchedulerAuditEntry {
   double conflict_fraction = 0.0;
   // Violations found (empty = compliant).
   std::vector<std::string> findings;
-};
-
-struct AuditReport {
-  std::vector<SchedulerAuditEntry> entries;
-
-  bool Compliant() const;
-  // Renders a human-readable report table plus findings.
-  void Print(std::ostream& os) const;
 };
 
 struct AuditPolicy {
@@ -53,14 +44,6 @@ struct AuditPolicy {
 SchedulerAuditEntry AuditMetrics(const std::string& name,
                                  const SchedulerMetrics& metrics, SimTime end,
                                  const AuditPolicy& policy = {});
-
-// Audits one scheduler against the policy at time `end`.
-SchedulerAuditEntry AuditScheduler(const QueueScheduler& scheduler, SimTime end,
-                                   const AuditPolicy& policy = {});
-
-// Audits a set of schedulers (e.g. all schedulers of an OmegaSimulation).
-AuditReport AuditSchedulers(const std::vector<const QueueScheduler*>& schedulers,
-                            SimTime end, const AuditPolicy& policy = {});
 
 }  // namespace omega
 

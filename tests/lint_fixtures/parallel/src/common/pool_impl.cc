@@ -1,5 +1,5 @@
 // src/common/ is the sanctioned home of the parallelism wrappers
-// (ParallelFor / ParallelForRanges): primitives allowed.
+// (ParallelFor): primitives allowed.
 #include <atomic>
 #include <mutex>
 #include <thread>

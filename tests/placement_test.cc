@@ -327,5 +327,23 @@ TEST(ScoringPlacerTest, WalksToLooseBucketsForBigMemoryTasks) {
   EXPECT_EQ(claims[0].machine, 63u);
 }
 
+TEST(EpochFlagSetTest, InsertContainsResetAndNegativeKeys) {
+  EpochFlagSet set;
+  EXPECT_FALSE(set.Contains(0));
+  set.Insert(3);
+  set.Insert(0);
+  EXPECT_TRUE(set.Contains(3));
+  EXPECT_TRUE(set.Contains(0));
+  EXPECT_FALSE(set.Contains(1));
+  EXPECT_FALSE(set.Contains(4000));
+  set.Insert(-1);  // failure_domain can be "none": never stored
+  EXPECT_FALSE(set.Contains(-1));
+  set.Reset();
+  EXPECT_FALSE(set.Contains(3));
+  EXPECT_FALSE(set.Contains(0));
+  set.Insert(3);
+  EXPECT_TRUE(set.Contains(3));
+}
+
 }  // namespace
 }  // namespace omega

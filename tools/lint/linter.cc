@@ -685,8 +685,8 @@ void Linter::CheckBannedIdentifiers(const FileData& f) {
 
 // Flags raw concurrency primitives (std::thread, std::mutex, std::atomic,
 // ...) in simulator code outside the sanctioned src/common/ wrappers. Thread
-// timing must never order results — the only parallelism is ParallelFor /
-// ParallelForRanges over independent trials, each writing its own slot, so
+// timing must never order results — the only parallelism is ParallelFor
+// over independent trials, each writing its own slot, so
 // outputs are bit-identical at any thread count. Member accesses are skipped
 // so a field named `mutex` on a project type is not a finding.
 void Linter::CheckParallelPrimitives(const FileData& f) {
@@ -700,8 +700,8 @@ void Linter::CheckParallelPrimitives(const FileData& f) {
     AddFinding(f, LineAt(f.line_offsets, t.offset), "det-parallel-reduce",
                "raw concurrency primitive `" + t.text +
                    "` in simulator code: thread timing must not order "
-                   "results; run independent trials through ParallelFor / "
-                   "ParallelForRanges from src/common/parallel_for.h");
+                   "results; run independent trials through ParallelFor "
+                   "from src/common/parallel_for.h");
   }
 }
 

@@ -31,7 +31,7 @@
 // v2 flow-aware rules, built on the whole-project call-graph model
 // (tools/lint/model.h, DESIGN.md §14):
 //   det-shard-unsafe-write   a function transitively reachable from a
-//                            ParallelFor(Ranges) shard callback
+//                            ParallelFor shard callback
 //                            writes a member field, a global, or a
 //                            by-reference capture of a frame outside the
 //                            shard, except through an allowlisted per-shard
@@ -108,7 +108,7 @@ struct Config {
   // (std::thread, std::mutex, std::atomic, ...) in scheduler/placement logic
   // can order results by thread timing, breaking the bit-identical-at-any-
   // thread-count guarantee; all parallelism must go through the sanctioned
-  // trial-level wrappers — ParallelFor / ParallelForRanges — which live
+  // trial-level wrapper — ParallelFor — which lives
   // under the exempt prefixes below. Tests may use primitives directly;
   // bench/tool code needs an inline allow() with a justification.
   std::vector<std::string> parallel_scope = {"src/", "bench/", "tools/"};
@@ -121,8 +121,7 @@ struct Config {
 
   // Call names whose lambda (or named-lambda) arguments run as shard
   // callbacks on worker threads.
-  std::vector<std::string> shard_api_names = {"ParallelForRanges",
-                                              "ParallelFor"};
+  std::vector<std::string> shard_api_names = {"ParallelFor"};
   // Types through which per-shard writes are sanctioned: a ShardSlots view
   // asserts disjoint per-index slots (src/common/parallel_for.h).
   std::vector<std::string> shard_scratch_types = {"ShardSlots"};

@@ -158,21 +158,28 @@ def main():
     if total == 0:
         print("resolve: no samples", file=sys.stderr)
         return 1
-    print(f"samples: {total} over {cpu_s:.2f} CPU-s "
-          f"({total / max(cpu_s, 1e-9):.0f} Hz reached)"
-          + (f", dropped {dropped}" if dropped else ""))
-    print(f"\n{'self %':>7} {'samples':>9}  function  [module]")
-    for key, n in by_function.most_common(args.top):
-        print(f"{100.0 * n / total:7.2f} {n:9d}  {key}")
-    print(f"\n{'self %':>7} {'samples':>9}  module")
-    for name, n in by_module.most_common():
-        print(f"{100.0 * n / total:7.2f} {n:9d}  {name}")
+    try:
+        print(f"samples: {total} over {cpu_s:.2f} CPU-s "
+              f"({total / max(cpu_s, 1e-9):.0f} Hz reached)"
+              + (f", dropped {dropped}" if dropped else ""))
+        print(f"\n{'self %':>7} {'samples':>9}  function  [module]")
+        for key, n in by_function.most_common(args.top):
+            print(f"{100.0 * n / total:7.2f} {n:9d}  {key}")
+        print(f"\n{'self %':>7} {'samples':>9}  module")
+        for name, n in by_module.most_common():
+            print(f"{100.0 * n / total:7.2f} {n:9d}  {name}")
 
-    if args.lines > 0:
-        print(f"\n{'self %':>7} {'samples':>9}  address  innermost frame")
-        for (file, vaddr), n in by_address.most_common(args.lines):
-            where = source_line(modules[file], vaddr)
-            print(f"{100.0 * n / total:7.2f} {n:9d}  {vaddr:#x}  {where}")
+        if args.lines > 0:
+            print(f"\n{'self %':>7} {'samples':>9}  address  innermost frame")
+            for (file, vaddr), n in by_address.most_common(args.lines):
+                where = source_line(modules[file], vaddr)
+                print(f"{100.0 * n / total:7.2f} {n:9d}  {vaddr:#x}  {where}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`| head`): stop printing, and
+        # point stdout at /dev/null so the flush at exit cannot fail again.
+        # The --expect verdict below still sets the exit code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
     if args.expect is not None:
         if not any(args.expect in key for key in by_function):
